@@ -23,7 +23,7 @@ from .losses import LossConfig, correspondence_loss, pose_loss, total_loss
 from .synth import (PointSets, SynthConfig, generate_instance, load_instance,
                     oracle_cost, oracle_probability, save_instance)
 from .pipeline import (AlternationResult, PipelineConfig, PipelineResult,
-                       alternation_baseline, backward, evaluate, solve)
+                       alternation_baseline, backward, solve)
 
 __all__ = [
     "__version__",
@@ -53,5 +53,5 @@ __all__ = [
     "load_instance", "oracle_cost", "oracle_probability",
     # pipeline
     "PipelineConfig", "PipelineResult", "solve", "backward",
-    "alternation_baseline", "AlternationResult", "evaluate",
+    "alternation_baseline", "AlternationResult",
 ]

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import ValidationError
-from .geometry import Pose, pairwise_angles_exact, transform_points
+from .geometry import Pose, ray_angles, transform_points
 
 # Stand-in cost for pairs excluded by the angular threshold; angles are
 # bounded by pi, so any matching that can avoid a sentinel will.
@@ -46,7 +46,8 @@ def correspondences_from_pose(bearings, points, pose: Pose,
     """
     if not (0.0 < theta < np.pi):
         raise ValidationError(f"theta must lie in (0, pi), got {theta}")
-    angles = pairwise_angles_exact(bearings, transform_points(pose, points))
+    angles = ray_angles(bearings, transform_points(pose, points), exact=True,
+                        pairwise=True)
     admissible = angles <= theta
     if not np.any(admissible):
         return np.zeros((0, 2), dtype=np.int64)

@@ -9,7 +9,10 @@ Conventions used throughout the library:
 * a bearing vector is the unit ray through an image point,
   proportional to ``inv(K) @ [u, v, 1]``,
 * every arccos in the library clamps its argument to ``+-(1 - 1e-7)``
-  so that angle gradients stay finite at 0 and 180 degrees.
+  so that angle gradients stay finite at 0 and 180 degrees,
+* every angle between a bearing and a transformed scene point comes
+  from `ray_angles`: the exact arctan2 measure for inlier tests, the
+  clamped arccos everywhere else.
 """
 
 from __future__ import annotations
@@ -31,19 +34,6 @@ _SMALL_ANGLE_SQ = 1e-4
 def clamped_arccos(x):
     """arccos with the argument clamped to the open interval (-1, 1)."""
     return np.arccos(np.clip(x, -ARCCOS_CLAMP, ARCCOS_CLAMP))
-
-
-def angles_from_cosines(c):
-    """Exact angles from cosines of unit-vector pairs, via arctan2.
-
-    Unlike the clamped arccos (whose value floors near 4.5e-4 at the
-    ends), this resolves angles down to ~1e-10, which inlier tests with
-    thresholds as small as 1e-6 require.  No gradients flow through
-    classification, so no clamp is needed.
-    """
-    c = np.asarray(c)
-    s = np.sqrt(np.maximum((1.0 - c) * (1.0 + c), 0.0))
-    return np.arctan2(s, c)
 
 
 def _as_vec3(x, name: str) -> np.ndarray:
@@ -282,71 +272,51 @@ def angle_between(x, y) -> float:
     return float(clamped_arccos((x @ y) / (nx * ny)))
 
 
-def small_angle_between(x, y) -> float:
-    """Angle between two unit-ish vectors, accurate near zero.
-
-    arccos floors around 1.5e-8 in double precision; the cross-product
-    form resolves tiny angles down to machine epsilon.  Only valid for
-    angles below pi/2 (used for residual verification).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    xn = x / np.linalg.norm(x)
-    yn = y / np.linalg.norm(y)
-    s = np.linalg.norm(np.cross(xn, yn))
-    if xn @ yn < 0:
-        return float(np.pi - np.arcsin(min(1.0, s)))
-    return float(np.arcsin(min(1.0, s)))
-
-
 def transform_points(pose: Pose, points) -> np.ndarray:
     """Apply R p + t to an (n, 3) array of points."""
     points = np.asarray(points, dtype=np.float64)
     return points @ pose.matrix().T + pose.t
 
 
-def pairwise_angles(bearings, transformed) -> np.ndarray:
-    """(m, n) matrix of angles between bearings and transformed points.
+def ray_angles(bearings, directions, exact: bool = False,
+               pairwise: bool = False) -> np.ndarray:
+    """Angles in [0, pi] between unit bearings and unnormalized directions.
 
-    Rows of `transformed` with zero norm produce an angle of pi and a
-    RuntimeWarning (the direction of a point at the camera center is
-    undefined).
+    Rows are paired, ``bearings[i]`` with ``directions[i]``, giving a (k,)
+    array; with ``pairwise=True`` every bearing meets every direction,
+    giving the (m, n) matrix.  A zero direction (a point at the camera
+    center) has no defined angle: it counts as pi, with a RuntimeWarning.
+
+    The default measure is the clamped arccos, whose gradient stays
+    finite but whose value floors near 4.5e-4 rad.  ``exact=True`` uses
+    arctan2 instead, which inlier tests with thresholds as small as 1e-6
+    require: it resolves angles down to ~1e-7 rad, where the rounding of
+    the cosine itself sets the limit.  No gradient flows through
+    classification, so it needs no clamp.
     """
     f = np.asarray(bearings, dtype=np.float64)
-    q = np.asarray(transformed, dtype=np.float64)
+    q = np.asarray(directions, dtype=np.float64)
     norms = np.linalg.norm(q, axis=1)
     degenerate = norms == 0.0
-    if np.any(degenerate):
+    any_degenerate = degenerate.any()
+    if any_degenerate:
         warnings.warn(
             f"{int(degenerate.sum())} transformed point(s) at the camera "
             "center; treating their angles as pi", RuntimeWarning)
         norms = np.where(degenerate, 1.0, norms)
-    cosines = (f @ q.T) / norms[None, :]
-    ang = clamped_arccos(cosines)
-    if np.any(degenerate):
-        ang[:, degenerate] = np.pi
-    return ang
-
-
-def pairwise_angles_exact(bearings, transformed) -> np.ndarray:
-    """Like pairwise_angles but with the exact arctan2 angle measure.
-
-    Used by inlier classification, where thresholds sit below the
-    arccos clamp floor; degenerate (zero-norm) points still map to pi.
-    """
-    f = np.asarray(bearings, dtype=np.float64)
-    q = np.asarray(transformed, dtype=np.float64)
-    norms = np.linalg.norm(q, axis=1)
-    degenerate = norms == 0.0
-    if np.any(degenerate):
-        warnings.warn(
-            f"{int(degenerate.sum())} transformed point(s) at the camera "
-            "center; treating their angles as pi", RuntimeWarning)
-        norms = np.where(degenerate, 1.0, norms)
-    cosines = np.clip((f @ q.T) / norms[None, :], -1.0, 1.0)
-    ang = angles_from_cosines(cosines)
-    if np.any(degenerate):
-        ang[:, degenerate] = np.pi
+    if pairwise:
+        c = (f @ q.T) / norms[None, :]
+    else:
+        c = np.sum(f * q, axis=1) / norms
+    # Rounding can push c just outside [-1, 1]; neither measure needs a
+    # clip for that: the arccos clamp lies inside the interval, and the
+    # arctan2 form gives exactly 0 or pi there (its sine term is 0).
+    if exact:
+        ang = np.arctan2(np.sqrt(np.maximum((1.0 - c) * (1.0 + c), 0.0)), c)
+    else:
+        ang = clamped_arccos(c)
+    if any_degenerate:
+        ang[..., degenerate] = np.pi
     return ang
 
 
@@ -357,6 +327,14 @@ def _pairs_array(pairs) -> np.ndarray:
     if p.ndim != 2 or p.shape[1] != 2:
         raise ValidationError(f"pair list must have shape (k, 2), got {p.shape}")
     return p
+
+
+def check_pairs_in_range(pairs: np.ndarray, m: int, n: int,
+                         what: str) -> None:
+    """Reject a (k, 2) pair array whose indices fall outside [0, m) x [0, n)."""
+    if pairs.size and (pairs[:, 0].min() < 0 or pairs[:, 0].max() >= m
+                       or pairs[:, 1].min() < 0 or pairs[:, 1].max() >= n):
+        raise ValidationError(f"{what} indices out of range")
 
 
 def validate_one_to_one(pairs) -> np.ndarray:
@@ -390,25 +368,14 @@ def angular_reprojection_error(bearings, points, correspondence, pose: Pose,
         weights = np.asarray(corr, dtype=np.float64)
         if np.any(weights < 0):
             raise ValidationError("correspondence weights must be nonnegative")
-        angles = pairwise_angles(f, q)
+        angles = ray_angles(f, q, pairwise=True)
         total = float(np.sum(weights * angles))
         wsum = float(weights.sum())
     else:
         pairs = _pairs_array(correspondence)
         if pairs.shape[0] == 0:
             return 0.0
-        sel_f = f[pairs[:, 0]]
-        sel_q = q[pairs[:, 1]]
-        norms = np.linalg.norm(sel_q, axis=1)
-        degenerate = norms == 0.0
-        if np.any(degenerate):
-            warnings.warn(
-                "transformed point at the camera center; angle treated as pi",
-                RuntimeWarning)
-            norms = np.where(degenerate, 1.0, norms)
-        cosines = np.sum(sel_f * sel_q, axis=1) / norms
-        angles = clamped_arccos(cosines)
-        angles = np.where(degenerate, np.pi, angles)
+        angles = ray_angles(f[pairs[:, 0]], q[pairs[:, 1]])
         total = float(angles.sum())
         wsum = float(pairs.shape[0])
 
@@ -431,11 +398,7 @@ def inlier_objective(bearings, points, pairs, pose: Pose, theta: float) -> int:
         return 0
     f = np.asarray(bearings, dtype=np.float64)[p[:, 0]]
     q = transform_points(pose, np.asarray(points, dtype=np.float64))[p[:, 1]]
-    norms = np.linalg.norm(q, axis=1)
-    norms = np.where(norms == 0.0, 1.0, norms)
-    angles = angles_from_cosines(np.clip(np.sum(f * q, axis=1) / norms,
-                                         -1.0, 1.0))
-    inlier = angles <= theta
+    inlier = ray_angles(f, q, exact=True) <= theta
     return int(2 * inlier.sum() - p.shape[0])
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import (ARCCOS_CLAMP, Pose, pairwise_angles,
-                       pairwise_angles_exact, so3_exp_and_derivatives,
-                       transform_points, validate_one_to_one)
+from .geometry import (ARCCOS_CLAMP, Pose, ray_angles,
+                       so3_exp_and_derivatives, transform_points,
+                       validate_one_to_one)
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,8 @@ def inlier_sign_matrix(bearings, points, gt_pose: Pose, theta: float,
     else:
         if not (0.0 < theta < np.pi):
             raise ValidationError("theta must lie in (0, pi)")
-        angles = pairwise_angles_exact(bearings,
-                                       transform_points(gt_pose, points))
+        angles = ray_angles(bearings, transform_points(gt_pose, points),
+                            exact=True, pairwise=True)
         ind = angles <= theta
     return np.where(ind, -1.0, 1.0)
 
@@ -70,7 +70,8 @@ def correspondence_loss(P, bearings, points, gt_pose: Pose, theta: float,
     if abs(total - 1.0) > 1e-6:
         raise ValidationError(f"P must sum to 1 (got {total})")
     if use_reprojection:
-        angles = pairwise_angles(bearings, transform_points(gt_pose, points))
+        angles = ray_angles(bearings, transform_points(gt_pose, points),
+                            pairwise=True)
         grad = angles / (m * n)
         return float(np.sum(P * grad)), grad
     sign = inlier_sign_matrix(bearings, points, gt_pose, theta, gt_pairs)

@@ -13,7 +13,8 @@ the sum to the cost matrix.  The robust initializer contributes no
 gradient path; it only chooses the basin of attraction.
 
 Also here: a pose-prior alternation baseline (estimate correspondences
-from the pose, refit the pose, repeat) and the metrics aggregator.
+from the pose, refit the pose, repeat) and the error metrics and
+summary statistics that the command line reports.
 """
 
 from __future__ import annotations
@@ -227,35 +228,3 @@ def pose_errors(pose: Pose, instance: PointSets) -> dict:
     return {"rotation_deg": float(np.degrees(rot)),
             "translation": trans,
             "reprojection_deg": float(np.degrees(reproj))}
-
-
-def evaluate(results, thresholds_deg=(5.0, 10.0, 15.0)) -> dict:
-    """Aggregate metrics over (PipelineResult, PointSets) pairs.
-
-    Quartiles and recall are computed per method (robust initializer
-    pose and refined pose); mean runtime comes from the per-stage
-    diagnostics (instance I/O excluded).
-    """
-    results = list(results)
-    if not results:
-        raise ValidationError("no results to evaluate")
-    methods = {"ransac": [], "refined": []}
-    runtimes = []
-    for result, instance in results:
-        methods["ransac"].append(pose_errors(result.ransac_pose, instance))
-        methods["refined"].append(pose_errors(result.refined_pose, instance))
-        runtimes.append(result.diagnostics.get("total_seconds", float("nan")))
-    report: dict = {"count": len(results),
-                    "mean_runtime_seconds": float(np.mean(runtimes)),
-                    "thresholds_deg": list(thresholds_deg), "methods": {}}
-    for name, errs in methods.items():
-        rot = [e["rotation_deg"] for e in errs]
-        trans = [e["translation"] for e in errs]
-        reproj = [e["reprojection_deg"] for e in errs]
-        report["methods"][name] = {
-            "rotation_deg_quartiles": quartiles(rot),
-            "translation_quartiles": quartiles(trans),
-            "reprojection_deg_quartiles": quartiles(reproj),
-            "rotation_recall": recall(rot, thresholds_deg),
-        }
-    return report

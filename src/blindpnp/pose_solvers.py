@@ -16,13 +16,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .assignment import hungarian
 from .errors import DegenerateGeometryError, NumericalError, ValidationError
-from .geometry import (Pose, angles_from_cosines, clamped_arccos, log_so3,
+from .geometry import (Pose, check_pairs_in_range, log_so3, ray_angles,
                        transform_points)
 
 _COLLINEAR_DIST = 1e-9
@@ -267,10 +267,7 @@ def _refine_betas(betas: np.ndarray, V: np.ndarray, ctrl: np.ndarray,
 
 def _pose_residual(f: np.ndarray, p: np.ndarray, pose: Pose,
                    weights: np.ndarray) -> float:
-    q = transform_points(pose, p)
-    norms = np.linalg.norm(q, axis=1)
-    norms = np.where(norms == 0, 1.0, norms)
-    ang = clamped_arccos(np.sum(f * q, axis=1) / norms)
+    ang = ray_angles(f, transform_points(pose, p))
     return float(np.average(ang, weights=weights))
 
 
@@ -367,11 +364,8 @@ class CandidateSet:
             raise ValidationError("pairs and weights lengths differ")
         if np.any(weights < 0):
             raise ValidationError("candidate weights must be nonnegative")
-        m = self.bearings.shape[0]
-        n = self.points.shape[0]
-        if pairs.size and (pairs[:, 0].min() < 0 or pairs[:, 0].max() >= m
-                           or pairs[:, 1].min() < 0 or pairs[:, 1].max() >= n):
-            raise ValidationError("candidate indices out of range")
+        check_pairs_in_range(pairs, self.bearings.shape[0],
+                             self.points.shape[0], "candidate")
 
     def __len__(self):
         return self.pairs.shape[0]
@@ -400,16 +394,11 @@ class RobustEstimate:
     iterations_used: int
     found_pose: bool             # False when no hypothesis scored any inlier
     hypothesis_count: int = 0    # inliers of the best minimal hypothesis
-    scores: tuple = field(default=(), repr=False)  # per-hypothesis counts, optional
 
 
 def _candidate_angles(cand: CandidateSet, pose: Pose) -> np.ndarray:
     q = transform_points(pose, cand.points[cand.pairs[:, 1]])
-    fsel = cand.bearings[cand.pairs[:, 0]]
-    norms = np.linalg.norm(q, axis=1)
-    norms = np.where(norms == 0, 1.0, norms)
-    cosines = np.clip(np.sum(fsel * q, axis=1) / norms, -1.0, 1.0)
-    return angles_from_cosines(cosines)
+    return ray_angles(cand.bearings[cand.pairs[:, 0]], q, exact=True)
 
 
 def _one_to_one_inliers(cand: CandidateSet, angles: np.ndarray,
@@ -436,8 +425,7 @@ def _one_to_one_inliers(cand: CandidateSet, angles: np.ndarray,
     return np.stack([rows[matches[:, 0]], cols[matches[:, 1]]], axis=1)
 
 
-def ransac_p3p(candidates: CandidateSet, config: RansacConfig,
-               record_scores: bool = False) -> RobustEstimate:
+def ransac_p3p(candidates: CandidateSet, config: RansacConfig) -> RobustEstimate:
     """Robust pose from candidate correspondences.
 
     Each hypothesis samples four distinct candidates: three feed P3P
@@ -456,7 +444,6 @@ def ransac_p3p(candidates: CandidateSet, config: RansacConfig,
     best_count = 0
     best_pose: Pose | None = None
     needed = config.max_iterations
-    scores = [] if record_scores else None
     it = 0
     while it < min(config.max_iterations, needed):
         it += 1
@@ -464,33 +451,21 @@ def ransac_p3p(candidates: CandidateSet, config: RansacConfig,
         tri = candidates.pairs[sel[:3]]
         # degenerate sample: repeated bearing or repeated point
         if (len(set(tri[:, 0])) < 3 or len(set(tri[:, 1])) < 3):
-            if scores is not None:
-                scores.append(0)
             continue
         try:
             hyps = p3p(candidates.bearings[tri[:, 0]],
                        candidates.points[tri[:, 1]])
         except DegenerateGeometryError:
-            if scores is not None:
-                scores.append(0)
             continue
         if not hyps:
-            if scores is not None:
-                scores.append(0)
             continue
         probe = candidates.pairs[sel[3]]
         fb = candidates.bearings[probe[0]]
         pp = candidates.points[probe[1]]
-        resid = []
-        for hyp in hyps:
-            q = hyp.matrix() @ pp + hyp.t
-            nq = np.linalg.norm(q)
-            resid.append(np.pi if nq == 0 else
-                         float(clamped_arccos((fb @ q) / nq)))
+        q = np.concatenate([transform_points(hyp, pp[None]) for hyp in hyps])
+        resid = ray_angles(np.broadcast_to(fb, q.shape), q)
         pose = hyps[int(np.argmin(resid))]
         count = int(np.count_nonzero(_candidate_angles(candidates, pose) <= thr))
-        if scores is not None:
-            scores.append(count)
         if count > best_count or best_pose is None:
             best_count = count
             best_pose = pose
@@ -506,8 +481,7 @@ def ransac_p3p(candidates: CandidateSet, config: RansacConfig,
         return RobustEstimate(pose=Pose.identity(),
                               inliers=np.zeros((0, 2), dtype=np.int64),
                               iterations_used=it, found_pose=False,
-                              hypothesis_count=0,
-                              scores=tuple(scores) if scores else ())
+                              hypothesis_count=0)
 
     angles = _candidate_angles(candidates, best_pose)
     inliers = _one_to_one_inliers(candidates, angles, thr)
@@ -520,5 +494,4 @@ def ransac_p3p(candidates: CandidateSet, config: RansacConfig,
             pose = best_pose  # keep the minimal-solver estimate
     return RobustEstimate(pose=pose, inliers=inliers, iterations_used=it,
                           found_pose=best_count > 0,
-                          hypothesis_count=best_count,
-                          scores=tuple(scores) if scores else ())
+                          hypothesis_count=best_count)

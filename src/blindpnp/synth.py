@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InstanceFormatError, ValidationError
-from .geometry import (Pose, bearings_to_pixels, exp_so3, log_so3,
-                       make_intrinsics, pixels_to_bearings,
+from .geometry import (Pose, bearings_to_pixels, check_pairs_in_range,
+                       exp_so3, log_so3, make_intrinsics, pixels_to_bearings,
                        validate_one_to_one)
 from .transport import TransportPlan, sinkhorn_forward
 
@@ -87,9 +87,7 @@ class PointSets:
                            np.asarray(self.intrinsics, dtype=np.float64))
         if self.gt_pairs is not None:
             pairs = validate_one_to_one(self.gt_pairs)
-            if pairs.size and (pairs[:, 0].max() >= b.shape[0]
-                               or pairs[:, 1].max() >= p.shape[0]):
-                raise ValidationError("gt pair indices out of range")
+            check_pairs_in_range(pairs, b.shape[0], p.shape[0], "gt pair")
             object.__setattr__(self, "gt_pairs", pairs)
         # keep metadata as plain strings so file round trips are exact
         object.__setattr__(

@@ -199,15 +199,13 @@ def sinkhorn_forward(M, row_prior=None, col_prior=None, mu: float = 0.1,
                          converged=residual <= tol)
 
 
-def sinkhorn_vjp(M, plan: TransportPlan, mu: float, grad_P,
-                 drop: str = "last") -> np.ndarray:
+def sinkhorn_vjp(M, plan: TransportPlan, mu: float, grad_P) -> np.ndarray:
     """dL/dM given dL/dP, by implicit differentiation at the optimum.
 
-    `drop` selects which redundant column-sum constraint is removed to
-    make the constraint system full rank; the result is independent of
-    the choice (exposed for testing).  At the optimum the derivative
-    depends on the cost only through the plan, so `M` may be None; when
-    given it is shape-checked.
+    The last column-sum constraint, redundant with the others, is
+    dropped to make the constraint system full rank.  At the optimum the
+    derivative depends on the cost only through the plan, so `M` may be
+    None; when given it is shape-checked.
     """
     P = np.asarray(plan.P if isinstance(plan, TransportPlan) else plan,
                    dtype=np.float64)
@@ -227,15 +225,13 @@ def sinkhorn_vjp(M, plan: TransportPlan, mu: float, grad_P,
     if isinstance(plan, TransportPlan) and plan.residual > 1e-6:
         raise ValidationError(
             f"plan violates marginal constraints (residual {plan.residual:.2e})")
-    if drop not in ("last", "first"):
-        raise ValidationError("drop must be 'last' or 'first'")
 
     W = P / mu
     Z = W * G
     rho = Z.sum(axis=1)                      # row-constraint side of A @ z
     gam = Z.sum(axis=0)
 
-    keep = slice(1, None) if drop == "first" else slice(0, n - 1)
+    keep = slice(0, n - 1)
     Wk = W[:, keep]                          # view, no copy
     d1 = r / mu                              # row sums of W
     d2 = c[keep] / mu                        # kept column sums of W

@@ -30,7 +30,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import NumericalError, SingularHessianError, ValidationError
-from .geometry import Pose, canonicalize_angle_axis, so3_exp_and_derivatives
+from .geometry import (Pose, canonicalize_angle_axis, check_pairs_in_range,
+                       so3_exp_and_derivatives)
 
 _CS_STEP = 1e-20  # complex-step size; no subtractive cancellation
 
@@ -90,13 +91,8 @@ class PnPProblem:
         if np.any(np.abs(np.linalg.norm(self.bearings, axis=1) - 1.0) > 1e-9):
             raise ValidationError("bearings must be unit vectors")
         if isinstance(self.weights, SparseWeights):
-            pairs, values = self.weights.pairs, self.weights.values
-            m, n = self.shape
-            if pairs.size and (pairs[:, 0].min() < 0 or pairs[:, 0].max() >= m
-                               or pairs[:, 1].min() < 0
-                               or pairs[:, 1].max() >= n):
-                raise ValidationError("weight pair indices out of range")
-            if np.any(values < 0):
+            check_pairs_in_range(self.weights.pairs, *self.shape, "weight pair")
+            if np.any(self.weights.values < 0):
                 raise ValidationError("weights must be nonnegative")
         elif np.any(np.asarray(self.weights) < 0):
             raise ValidationError("weights must be nonnegative")

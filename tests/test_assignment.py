@@ -12,7 +12,7 @@ import pytest
 from blindpnp.assignment import (candidate_count, correspondences_from_pose,
                                  hungarian, top_k_select)
 from blindpnp.errors import ValidationError
-from blindpnp.geometry import Pose, pairwise_angles, transform_points
+from blindpnp.geometry import Pose, ray_angles, transform_points
 
 from conftest import exact_bearings, random_pose
 
@@ -118,7 +118,8 @@ class TestCorrespondencesFromPose:
         noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)
         theta = 0.02
         pairs = correspondences_from_pose(noisy, points, pose, theta)
-        angles = pairwise_angles(noisy, transform_points(pose, points))
+        angles = ray_angles(noisy, transform_points(pose, points),
+                            pairwise=True)
         assert np.all(angles[pairs[:, 0], pairs[:, 1]] <= theta)
 
     def test_theta_validated(self, rng):

@@ -7,6 +7,9 @@ geometric identities.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from blindpnp.errors import ValidationError
 from blindpnp.geometry import (ARCCOS_CLAMP, Pose, angle_between,
@@ -14,7 +17,7 @@ from blindpnp.geometry import (ARCCOS_CLAMP, Pose, angle_between,
                                bearings_to_pixels, canonicalize_angle_axis,
                                exp_so3, geodesic_rotation_angle,
                                inlier_objective, log_so3, make_intrinsics,
-                               pixels_to_bearings, rotation_error,
+                               pixels_to_bearings, ray_angles, rotation_error,
                                so3_exp_and_derivatives, transform_points,
                                translation_error)
 
@@ -234,6 +237,86 @@ class TestAngularReprojectionError:
             angular_reprojection_error(bearings, points, weights, pose)
 
 
+MEASURES = [(exact, pairwise) for exact in (False, True)
+            for pairwise in (False, True)]
+
+
+@st.composite
+def rays(draw):
+    """Unit bearings (m, 3) and nonzero directions (n, 3); some directions
+    lie within ~1e-6 of +-bearing so both ends of [0, pi] are exercised."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5))
+    coords = st.floats(-10.0, 10.0, allow_nan=False)
+    f = draw(arrays(np.float64, (m, 3), elements=coords).filter(
+        lambda a: np.all(np.linalg.norm(a, axis=1) > 1e-3)))
+    f = f / np.linalg.norm(f, axis=1, keepdims=True)
+    q = draw(arrays(np.float64, (n, 3), elements=coords))
+    for j in range(n):
+        if draw(st.booleans()):
+            scale = draw(st.floats(-10.0, 10.0).filter(lambda s: abs(s) > 0.1))
+            jitter = draw(arrays(np.float64, (3,),
+                                 elements=st.floats(-1e-6, 1e-6)))
+            q[j] = scale * f[draw(st.integers(0, m - 1))] + jitter
+    assume(np.all(np.linalg.norm(q, axis=1) > 1e-3))
+    return f, q
+
+
+def paired_grid(f, q, exact):
+    """The pairwise matrix rebuilt from paired rows (i, j)."""
+    m, n = f.shape[0], q.shape[0]
+    ii, jj = np.divmod(np.arange(m * n), n)
+    return ray_angles(f[ii], q[jj], exact=exact).reshape(m, n)
+
+
+class TestRayAngles:
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(rays())
+    def test_range_and_pairing(self, data):
+        f, q = data
+        for exact in (False, True):
+            grid = ray_angles(f, q, exact=exact, pairwise=True)
+            paired = paired_grid(f, q, exact)
+            for ang in (grid, paired):
+                assert np.all((ang >= 0.0) & (ang <= np.pi))
+            # the matrix product and the row sums round the cosine
+            # differently by a few ulp, which the angle amplifies by
+            # 1/sin(angle): 1e-12 holds wherever sin(angle) >= 1e-3
+            well_conditioned = np.sin(grid) >= 1e-3
+            diff = np.abs(grid - paired)
+            assert np.all(diff[well_conditioned] <= 1e-12)
+            assert np.all(diff <= 1e-7)
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(rays())
+    def test_exact_matches_clamped_above_clamp_floor(self, data):
+        f, q = data
+        for pairwise in (False, True):
+            g = f if pairwise else np.resize(f, q.shape)
+            clamped = ray_angles(g, q, pairwise=pairwise)
+            exact = ray_angles(g, q, exact=True, pairwise=pairwise)
+            assert np.all(clamped >= CLAMP_FLOOR)
+            assert np.all(clamped <= np.pi - CLAMP_FLOOR)
+            free = ((clamped > CLAMP_FLOOR + 1e-9)
+                    & (clamped < np.pi - CLAMP_FLOOR - 1e-9))
+            assert np.all(np.abs(exact - clamped)[free] <= 1e-12)
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(rays(), st.data())
+    def test_zero_direction_is_pi_with_warning(self, data, draw):
+        f, q = data
+        j = draw.draw(st.integers(0, q.shape[0] - 1))
+        q = q.copy()
+        q[j] = 0.0
+        for exact, pairwise in MEASURES:
+            g = f if pairwise else np.resize(f, q.shape)
+            with pytest.warns(RuntimeWarning, match="camera center"):
+                ang = ray_angles(g, q, exact=exact, pairwise=pairwise)
+            assert np.all(ang[..., j] == np.pi)
+            others = np.delete(ang, j, axis=-1)
+            assert np.all((others >= 0.0) & (others <= np.pi))
+
+
 class TestInlierObjective:
     def test_all_inliers_at_ground_truth(self, rng):
         pose = random_pose(rng)
@@ -279,6 +362,16 @@ class TestInlierObjective:
             inlier_objective(bearings, points, [[0, 1], [0, 2]], pose, 0.1)
         with pytest.raises(ValidationError):
             inlier_objective(bearings, points, [[0, 1], [2, 1]], pose, 0.1)
+
+    def test_point_at_camera_center_is_outlier(self):
+        # its angle counts as pi, as in angular_reprojection_error, so no
+        # threshold below pi admits it
+        points = np.array([[0.0, 0.0, 0.0]])
+        bearings = np.array([[0.0, 0.0, 1.0]])
+        with pytest.warns(RuntimeWarning):
+            value = inlier_objective(bearings, points, [[0, 0]],
+                                     Pose.identity(), 2.0)
+        assert value == -1
 
     def test_theta_bounds(self, rng):
         pose = random_pose(rng)

@@ -1,5 +1,5 @@
 """End-to-end composition: forward recovery, chained backward, the
-alternation baseline, and the metrics aggregator."""
+alternation baseline, and the metrics helpers."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from blindpnp.errors import StageError, ValidationError
 from blindpnp.geometry import Pose, geodesic_rotation_angle, translation_error
 from blindpnp.losses import correspondence_loss
 from blindpnp.pipeline import (PipelineConfig, alternation_baseline, backward,
-                               evaluate, quartiles, recall, solve)
+                               quartiles, recall, solve)
 from blindpnp.pose_solvers import RansacConfig
 from blindpnp.synth import SynthConfig, generate_instance, oracle_cost
 from blindpnp.transport import sinkhorn_vjp
@@ -179,26 +179,3 @@ class TestEvaluate:
 
     def test_recall_strictly_below(self):
         assert recall([1.0, 2.0, 3.0, 4.0, 5.0], [3.0]) == [0.4]
-
-    def test_aggregate_report(self):
-        inst = noiseless_instance(n=20, seed=31)
-        results = [(solve(oracle_cost(inst, 5.0), inst, POLISHED), inst)]
-        report = evaluate(results, thresholds_deg=(5.0, 10.0, 15.0))
-        assert report["count"] == 1
-        refined = report["methods"]["refined"]
-        q = refined["rotation_deg_quartiles"]
-        assert q[0] == q[1] == q[2]
-        assert refined["rotation_recall"] == [1.0, 1.0, 1.0]
-
-    def test_permutation_invariant(self):
-        insts = [noiseless_instance(n=15, seed=s) for s in (41, 42, 43)]
-        results = [(solve(oracle_cost(i, 5.0), i, POLISHED), i)
-                   for i in insts]
-        a = evaluate(results)
-        b = evaluate(results[::-1])
-        assert a["methods"]["refined"]["rotation_deg_quartiles"] \
-            == b["methods"]["refined"]["rotation_deg_quartiles"]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            evaluate([])

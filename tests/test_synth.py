@@ -184,6 +184,17 @@ class TestInstanceIO:
         with pytest.raises(InstanceFormatError, match=f"line {idx + 1}"):
             load_instance(path)
 
+    def test_negative_gt_pair_rejected(self, tmp_path):
+        inst = generate_instance(SynthConfig(n_points=4, seed=1))
+        path = tmp_path / "negative.txt"
+        save_instance(inst, path)
+        lines = path.read_text().splitlines()
+        idx = lines.index("section gt_pairs") + 2
+        lines[idx] = "-1 " + lines[idx].split()[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match="out of range"):
+            load_instance(path)
+
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "alien.txt"
         path.write_text("some other format\n")
