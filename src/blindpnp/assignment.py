@@ -62,6 +62,14 @@ def top_k_select(P, k: int):
 
     Ties are broken by ascending (row, column) so runs are reproducible.
     Returns (rows, cols, values) arrays of length k.
+
+    The k-th largest value comes from an in-place partition of one
+    negated copy of P.  Only the fewer than k entries strictly above it
+    are sorted; the rest are the first entries equal to it in flat
+    order, which is ascending (row, column), so a large tie pool (the
+    off-diagonal entries of a sharp plan) is never sorted.  O(mn) time;
+    the extra memory is one float copy of P, freed before the indices of
+    the tied entries are taken.
     """
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2:
@@ -69,16 +77,17 @@ def top_k_select(P, k: int):
     m, n = P.shape
     if not (1 <= k <= m * n):
         raise ValidationError(f"k must lie in [1, {m * n}], got {k}")
+    if not np.all(np.isfinite(P)):
+        raise ValidationError("P has non-finite entries")
     flat = P.ravel()
-    if k < flat.size:
-        # keep everything >= the k-th largest value, then sort that pool
-        kth = np.partition(flat, flat.size - k)[flat.size - k]
-        pool = np.flatnonzero(flat >= kth)
-    else:
-        pool = np.arange(flat.size)
-    rows, cols = np.divmod(pool, n)
-    order = np.lexsort((cols, rows, -flat[pool]))
-    chosen = pool[order[:k]]
+    neg = np.negative(flat)
+    neg.partition(k - 1)
+    kth = -neg[k - 1]
+    del neg  # free the copy before the index passes below
+    above = np.flatnonzero(flat > kth)
+    above = above[np.lexsort((above, -flat[above]))]
+    ties = np.flatnonzero(flat == kth)[:k - above.size]
+    chosen = np.concatenate([above, ties])
     rows, cols = np.divmod(chosen, n)
     return rows.astype(np.int64), cols.astype(np.int64), flat[chosen]
 

@@ -94,13 +94,15 @@ def solve(M, instance: PointSets, config: PipelineConfig | None = None
     try:
         k = candidate_count(instance.m, instance.n, config.k_factor)
         rows, cols, values = top_k_select(plan.P, k)
+        t1 = time.perf_counter()
         candidates = CandidateSet(
             pairs=np.stack([rows, cols], axis=1), weights=values,
             bearings=instance.bearings, points=instance.points)
         estimate = ransac_p3p(candidates, config.ransac)
     except Exception as exc:
         raise StageError("ransac", exc) from exc
-    diag["ransac_seconds"] = time.perf_counter() - t0
+    diag["top_k_seconds"] = t1 - t0
+    diag["ransac_seconds"] = time.perf_counter() - t1
     diag["ransac_iterations"] = estimate.iterations_used
     diag["ransac_inliers"] = int(estimate.inliers.shape[0])
     diag["low_inlier"] = estimate.inliers.shape[0] < 4 or not estimate.found_pose
@@ -116,7 +118,8 @@ def solve(M, instance: PointSets, config: PipelineConfig | None = None
     diag["refine_seconds"] = time.perf_counter() - t0
     diag["refine_iterations"] = refined.iterations
     diag["refine_converged"] = refined.converged
-    diag["total_seconds"] = (diag["sinkhorn_seconds"] + diag["ransac_seconds"]
+    diag["total_seconds"] = (diag["sinkhorn_seconds"] + diag["top_k_seconds"]
+                             + diag["ransac_seconds"]
                              + diag["refine_seconds"])
     return PipelineResult(plan=plan, ransac_estimate=estimate, refined=refined,
                           diagnostics=diag)

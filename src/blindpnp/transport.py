@@ -78,6 +78,17 @@ def _logsumexp_rows(A):
     return np.log(np.exp(A - hi).sum(axis=1)) + hi[:, 0]
 
 
+def _exp_plan(logK0, phi, psi):
+    """exp(logK0 + phi[:, None] + psi[None, :]) with one m x n temporary.
+
+    The same additions in the same order as the plain expression, so
+    the result has the same bits.
+    """
+    out = np.add(logK0, phi[:, None])
+    out += psi[None, :]
+    return np.exp(out, out=out)
+
+
 def _scale_iterations(logK0, r, c, logr, logc, phi, psi, tol, max_iterations):
     """Stabilized scaling loop from given starting potentials.
 
@@ -85,7 +96,7 @@ def _scale_iterations(logK0, r, c, logr, logc, phi, psi, tol, max_iterations):
     absorbed on exit, so log P = logK0 + phi[:, None] + psi[None, :].
     """
     m = r.shape[0]
-    K = np.exp(logK0 + phi[:, None] + psi[None, :])
+    K = _exp_plan(logK0, phi, psi)
     u = np.ones(m)
     v = np.ones(c.shape[0])
 
@@ -96,7 +107,7 @@ def _scale_iterations(logK0, r, c, logr, logc, phi, psi, tol, max_iterations):
         psi = psi + np.log(v)
         phi = logr - _logsumexp_rows(logK0 + psi[None, :])
         psi = logc - _logsumexp_rows((logK0 + phi[:, None]).T)
-        K = np.exp(logK0 + phi[:, None] + psi[None, :])
+        K = _exp_plan(logK0, phi, psi)
         u[:] = 1.0
         v[:] = 1.0
 
@@ -119,7 +130,7 @@ def _scale_iterations(logK0, r, c, logr, logc, phi, psi, tol, max_iterations):
                 if hi > _ABSORB_MAX or lo < 1.0 / _ABSORB_MAX:
                     phi = phi + np.log(u)
                     psi = psi + np.log(v)
-                    K = np.exp(logK0 + phi[:, None] + psi[None, :])
+                    K = _exp_plan(logK0, phi, psi)
                     u[:] = 1.0
                     v[:] = 1.0
         Kv = K @ v
@@ -183,15 +194,19 @@ def sinkhorn_forward(M, row_prior=None, col_prior=None, mu: float = 0.1,
             phi = phi * ratio
             psi = psi * ratio
         stage_tol = tol if stage_mu == mu else max(tol, 1e-3)
+        logK0 = -M / stage_mu
         phi, psi, it, residual = _scale_iterations(
-            -M / stage_mu, r, c, logr, logc, phi, psi, stage_tol,
+            logK0, r, c, logr, logc, phi, psi, stage_tol,
             max_iterations - total_it)
         total_it += it
         prev_mu = stage_mu
         if total_it >= max_iterations:
             break
 
-    P = np.exp(-M / mu + phi[:, None] + psi[None, :])
+    if stage_mu != mu:
+        # an annealed run stopped by the iteration cap before its last stage
+        logK0 = -M / mu
+    P = _exp_plan(logK0, phi, psi)
     row_res = float(np.max(np.abs(P.sum(axis=1) - r)))
     col_res = float(np.max(np.abs(P.sum(axis=0) - c)))
     residual = max(row_res, col_res)

@@ -5,14 +5,20 @@ sizes where that is feasible; top-k is checked against sort-everything.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from blindpnp.assignment import (candidate_count, correspondences_from_pose,
                                  hungarian, top_k_select)
 from blindpnp.errors import ValidationError
 from blindpnp.geometry import Pose, ray_angles, transform_points
+from blindpnp.synth import SynthConfig, generate_instance, oracle_cost
+from blindpnp.transport import sinkhorn_forward
 
 from conftest import exact_bearings, random_pose
 
@@ -166,7 +172,69 @@ class TestTopKSelect:
         with pytest.raises(ValidationError):
             top_k_select(P, 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        P = np.full((3, 4), 0.1)
+        P[1, 2] = bad
+        with pytest.raises(ValidationError):
+            top_k_select(P, 2)
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_lexsort_oracle_for_every_k(self, data):
+        # a few distinct values, so ties decide most of the order
+        m = data.draw(st.integers(1, 30))
+        n = data.draw(st.integers(1, 30))
+        levels = np.array(data.draw(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=3)))
+        P = levels[data.draw(arrays(np.intp, (m, n),
+                                    elements=st.integers(0, levels.size - 1)))]
+        assert_matches_lexsort_oracle(P, range(1, m * n + 1))
+
+    def test_sharp_plan_takes_ties_in_row_major_order(self, rng):
+        # the oracle plan's layout: one high entry per row, all others tied
+        n = 200
+        perm = rng.permutation(n)
+        P = np.full((n, n), 1e-20)
+        P[np.arange(n), perm] = 1.0 / n
+        rows, cols, values = top_k_select(P, 300)
+        np.testing.assert_array_equal(rows[:n], np.arange(n))
+        np.testing.assert_array_equal(cols[:n], perm)
+        assert np.all(values[n:] == 1e-20)
+        assert_matches_lexsort_oracle(P, [300])
+
     def test_candidate_count(self):
         assert candidate_count(100, 100) == 150
         assert candidate_count(3, 5) == 5        # ceil(4.5)
         assert candidate_count(1, 1) == 1        # capped at m*n
+
+    @pytest.mark.parametrize("sharpness, cost_noise", [(5.0, 0.0), (1.0, 0.3)])
+    def test_peak_memory_is_one_float_copy(self, sharpness, cost_noise):
+        # tied (two distinct values) and untied 1000 x 1000 oracle plans;
+        # sorting the tie pool took 40 B/entry, negating a second copy
+        # for the partition would take 16 B/entry on the untied plan
+        inst = generate_instance(SynthConfig(n_points=1000, seed=0))
+        P = sinkhorn_forward(oracle_cost(inst, sharpness, cost_noise),
+                             mu=0.1).P
+        k = candidate_count(*P.shape)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        top_k_select(P, k)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= 12 * P.size
+
+
+def assert_matches_lexsort_oracle(P, ks):
+    """top_k_select equals the first k of a full sort by descending
+    value, then ascending (row, column), bit for bit."""
+    n = P.shape[1]
+    rows, cols = np.divmod(np.arange(P.size), n)
+    order = np.lexsort((cols, rows, -P.ravel()))
+    for k in ks:
+        got = top_k_select(P, k)
+        want = (rows[order[:k]], cols[order[:k]], P.ravel()[order[:k]])
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()

@@ -42,6 +42,14 @@ class TestForward:
                                       b.refined_pose.as_vector())
         np.testing.assert_array_equal(a.plan.P, b.plan.P)
 
+    def test_stage_times_sum_to_total(self):
+        inst = noiseless_instance(n=30, seed=5)
+        diag = solve(oracle_cost(inst, 5.0), inst, POLISHED).diagnostics
+        stages = [diag[key] for key in ("sinkhorn_seconds", "top_k_seconds",
+                                        "ransac_seconds", "refine_seconds")]
+        assert all(seconds >= 0.0 for seconds in stages)
+        assert diag["total_seconds"] == sum(stages)
+
     def test_uniform_cost_degrades_gracefully(self):
         inst = noiseless_instance(n=30, seed=5)
         result = solve(np.ones((30, 30)), inst, POLISHED)

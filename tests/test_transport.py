@@ -8,11 +8,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from blindpnp.assignment import hungarian
 from blindpnp.errors import ValidationError
-from blindpnp.transport import (TransportPlan, pairwise_cost, sinkhorn_forward,
-                                sinkhorn_vjp, transport_cost, uniform_priors)
+from blindpnp.synth import SynthConfig, generate_instance, oracle_cost
+from blindpnp.transport import (TransportPlan, _exp_plan, pairwise_cost,
+                                sinkhorn_forward, sinkhorn_vjp, transport_cost,
+                                uniform_priors)
 
 
 def fd_vjp(M, G, mu, step=1e-6, tol=1e-12):
@@ -126,6 +131,34 @@ class TestForward:
         with pytest.raises(ValidationError):
             sinkhorn_forward(np.ones((2, 2)), row_prior=[0.5, 0.5],
                              col_prior=[0.9, 0.3], mu=0.1)
+
+    def test_peak_memory_is_log_kernel_plus_plan(self):
+        # -M/mu and the plan; the unfused exponential took 24 B/entry
+        inst = generate_instance(SynthConfig(n_points=1000, seed=0))
+        M = oracle_cost(inst, 5.0)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        sinkhorn_forward(M, mu=0.1)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= 17 * M.size
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_exp_plan_matches_unfused_expression(self, data):
+        # any finite float, so signed zeros, overflow to inf and
+        # inf - inf = nan all occur
+        m = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(1, 6))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        logK0 = data.draw(arrays(np.float64, (m, n), elements=finite))
+        phi = data.draw(arrays(np.float64, (m,), elements=finite))
+        psi = data.draw(arrays(np.float64, (n,), elements=finite))
+        with np.errstate(all="ignore"):
+            want = np.exp(logK0 + phi[:, None] + psi[None, :])
+            got = _exp_plan(logK0, phi, psi)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestBackward:
