@@ -79,9 +79,8 @@ def _pipeline_config(args) -> PipelineConfig:
                             max_iterations=args.ransac_iterations,
                             confidence=args.ransac_confidence,
                             seed=args.ransac_seed),
-        solver=PnPSolverConfig(max_iterations=args.lbfgs_iterations,
-                               gradient_tolerance=args.lbfgs_tolerance,
-                               newton_polish=args.newton_polish),
+        solver=PnPSolverConfig(max_iterations=args.refine_iterations,
+                               gradient_tolerance=args.refine_tolerance),
         loss=LossConfig(theta=args.theta, gamma_p=args.gamma_p))
 
 
@@ -97,10 +96,10 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ransac-iterations", type=int, default=1000)
     p.add_argument("--ransac-confidence", type=float, default=0.99)
     p.add_argument("--ransac-seed", type=int, default=0)
-    p.add_argument("--lbfgs-iterations", type=int, default=200)
-    p.add_argument("--lbfgs-tolerance", type=float, default=1e-9)
-    p.add_argument("--newton-polish", action="store_true",
-                   help="tighten the refined pose with Newton steps")
+    p.add_argument("--refine-iterations", type=int, default=200,
+                   help="cap on damped Newton steps of the pose refinement")
+    p.add_argument("--refine-tolerance", type=float, default=1e-9,
+                   help="gradient norm at which the refined pose converges")
     p.add_argument("--theta", type=float, default=0.01,
                    help="angular inlier threshold for losses and metrics")
     p.add_argument("--gamma-p", type=float, default=1.0)

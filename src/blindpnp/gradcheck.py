@@ -67,8 +67,7 @@ def _random_stationary_problem(seed: int, m: int = 10, n: int = 10):
     P = P / P.sum()
     problem = PnPProblem(bearings=inst.bearings, points=inst.points,
                          weights=P, init=inst.gt_pose)
-    config = PnPSolverConfig(newton_polish=True, polish_tolerance=1e-14,
-                             gradient_tolerance=1e-10)
+    config = PnPSolverConfig(gradient_tolerance=1e-10)
     solution = pnp_solve(problem, config)
     return problem, solution, P, inst
 
@@ -207,8 +206,7 @@ def check_pnp_vjp(seeds=range(10), tol: float = 1e-4, fd_step: float = 1e-6,
     worst = 0.0
     failures = []
     notes = []
-    tight = PnPSolverConfig(newton_polish=True, polish_tolerance=1e-14,
-                            gradient_tolerance=1e-10)
+    tight = PnPSolverConfig(gradient_tolerance=1e-10)
     for seed in seeds:
         problem, solution, P, inst = _random_stationary_problem(seed, m=m, n=n)
         rng = np.random.default_rng(seed + 3)
@@ -282,10 +280,8 @@ def _end_to_end_case(seed: int):
     inst = generate_instance(SynthConfig(n_points=8, seed=seed,
                                          pixel_noise_sigma=0.5))
     M = oracle_cost(inst, sharpness=0.8, noise_sigma=0.2, seed=seed + 100)
-    config = PipelineConfig(
-        sinkhorn_tol=1e-13, ransac=RansacConfig(seed=seed + 7),
-        solver=PnPSolverConfig(newton_polish=True, polish_tolerance=1e-14,
-                               gradient_tolerance=1e-9))
+    config = PipelineConfig(sinkhorn_tol=1e-13,
+                            ransac=RansacConfig(seed=seed + 7))
     return inst, M, config
 
 

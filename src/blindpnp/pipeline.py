@@ -2,8 +2,9 @@
 
 Forward (`solve`): a cost matrix is turned into a correspondence
 probability matrix by the transport layer; the most probable candidate
-pairs seed a RANSAC + P3P + EPnP robust initializer; L-BFGS then
-refines the probability-weighted alignment objective from that pose.
+pairs seed a RANSAC + P3P + EPnP robust initializer; damped Newton on
+the exact pose Hessian then refines the probability-weighted alignment
+objective from that pose.
 
 Backward (`backward`): gradients flow through the two declarative
 stages only: the pose layer's implicit derivative maps a pose-loss

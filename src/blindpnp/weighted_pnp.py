@@ -5,10 +5,11 @@ Forward: minimize over pose (r, t) the weighted misalignment
     f(P, r, t) = sum_ij P_ij * (1 - f_i . u_ij),
     u_ij = (R(r) p_j + t) / ||R(r) p_j + t||
 
-with L-BFGS (strong Wolfe line search) from a supplied initialization.
-The objective is linear in P, so it collapses to per-point aggregates
-w_j = sum_i P_ij and s_j = sum_i P_ij f_i: every solver iteration costs
-O(n) regardless of how many pairs carry weight.
+by damped Newton on the exact pose Hessian from a supplied
+initialization.  The objective is linear in P, so it collapses to
+per-point aggregates w_j = sum_i P_ij and s_j = sum_i P_ij f_i: every
+gradient and Hessian costs O(n) regardless of how many pairs carry
+weight.
 
 Backward: at a stationary point, the derivative of the pose with
 respect to the weights is -inv(H) B, where H is the 6x6 pose Hessian
@@ -27,13 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError, SingularHessianError, ValidationError
 from .geometry import (Pose, canonicalize_angle_axis, check_pairs_in_range,
                        so3_exp_and_derivatives)
 
 _CS_STEP = 1e-20  # complex-step size; no subtractive cancellation
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -105,12 +107,11 @@ class PnPProblem:
 
 @dataclass(frozen=True)
 class PnPSolverConfig:
-    history: int = 10
     gradient_tolerance: float = 1e-9
-    max_iterations: int = 200
-    gradient_clip: float = 100.0     # norm cap applied inside the solver
-    newton_polish: bool = False      # extra Newton steps after L-BFGS
-    polish_tolerance: float = 1e-13
+    max_iterations: int = 200        # cap on Newton steps
+    # Has no effect: every solve ends at the rounding floor that the old
+    # Newton polish reached.  Kept because perfbench/run.py still sets it.
+    newton_polish: bool = False
 
 
 @dataclass(frozen=True)
@@ -181,12 +182,12 @@ def _value_and_gradient(w, s, points, x, active):
     gq = np.where(active[:, None], gq, 0.0)
     grad_t = gq.sum(axis=0)
     # dq_j/dr_k = dR[k] @ p_j
-    grad_r = np.einsum("ja,kab,jb->k", gq, dR, points)
+    grad_r = np.einsum("kab,ab->k", dR, gq.T @ points)
     return value, np.concatenate([grad_r, grad_t])
 
 
 def pnp_objective(problem: PnPProblem, pose: Pose):
-    """Objective value and its analytic pose gradient (unclipped).
+    """Objective value and its analytic pose gradient.
 
     The value is nonnegative by Cauchy-Schwarz; rounding can leave it a
     few ulps below zero at perfect alignment, so it is floored at 0.
@@ -198,85 +199,82 @@ def pnp_objective(problem: PnPProblem, pose: Pose):
     return max(float(value), 0.0), grad
 
 
-def _clip_gradient(g: np.ndarray, cap: float) -> np.ndarray:
-    norm = np.linalg.norm(g)
-    if cap > 0 and norm > cap:
-        return g * (cap / norm)
-    return g
+def _damped_step(w, s, points, active, x, value, g, noise):
+    """One damped Newton step from x: (x, value, g) after it, or None.
 
-
-def _newton_polish(w, s, points, x, active, tol, max_steps: int = 20):
-    """Newton iterations on the stationarity condition; returns (x, ||g||)."""
-    value, g = _value_and_gradient(w, s, points, x, active)
-    gnorm = np.linalg.norm(g)
-    for _ in range(max_steps):
-        if gnorm <= tol:
-            break
-        H = _hessian(w, s, points, x, active)
+    Solves (H + lam I) d = g by Cholesky, raising lam from 0 until the
+    factorization succeeds and x - d descends: it lowers the objective,
+    or it shrinks |g| while the objective rises by at most `noise`, the
+    objective's own rounding, which cannot resolve a smaller decrease.
+    None once lam has shrunk d below the rounding of x.
+    """
+    H = _hessian(w, s, points, x, active)
+    lam = 0.0
+    while True:
         try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            break
-        accepted = False
-        scale = 1.0
-        for _ in range(8):
-            x_new = x - scale * step
-            try:
-                _, g_new = _value_and_gradient(w, s, points, x_new, active)
-            except NumericalError:
-                scale *= 0.5
-                continue
-            if np.linalg.norm(g_new) < gnorm:
-                x, g, gnorm = x_new, g_new, np.linalg.norm(g_new)
-                accepted = True
-                break
-            scale *= 0.5
-        if not accepted:
-            break
-    return x, gnorm
+            d = cho_solve(cho_factor(H + lam * np.eye(6)), g)
+            if np.linalg.norm(d) <= _EPS * max(np.linalg.norm(x), 1.0):
+                return None
+            value_new, g_new = _value_and_gradient(w, s, points, x - d, active)
+        except (np.linalg.LinAlgError, NumericalError):
+            pass
+        else:
+            if value_new < value or (np.linalg.norm(g_new) < np.linalg.norm(g)
+                                     and value_new <= value + noise):
+                return x - d, value_new, g_new
+        lam = max(10.0 * lam, 1e-3 * np.max(np.abs(np.diag(H))),
+                  np.finfo(float).tiny)
 
 
 def pnp_solve(problem: PnPProblem, config: PnPSolverConfig | None = None,
               check_normalization: bool = True) -> PnPSolution:
     """Minimize the weighted alignment objective from the stored init.
 
-    L-BFGS-B (strong-Wolfe MINPACK line search, unconstrained bounds)
-    with the gradient-norm cap applied to what the optimizer sees.  An
-    optional Newton polish tightens the stationary point afterwards.
+    Damped Newton steps on the exact pose Hessian (`_damped_step`) until
+    |g| <= gradient_tolerance or `max_iterations` steps.  A converged
+    solve then takes full Newton steps on the Hessian there while they
+    shrink |g|, so it ends at the rounding floor of the stationarity
+    condition that the implicit backward differentiates.  The full
+    steps share the `max_iterations` budget (without a finite minimizer
+    they would shrink |g| forever); `iterations` counts the damped ones.
     """
     config = config or PnPSolverConfig()
     problem.validate(check_normalization=check_normalization)
     w, s = _collapse_weights(problem)
     active = (w > 0) | (np.abs(s).sum(axis=1) > 0)
     points = problem.points
-    x0 = np.concatenate([canonicalize_angle_axis(problem.init.r),
-                         problem.init.t])
+    x = np.concatenate([canonicalize_angle_axis(problem.init.r),
+                        problem.init.t])
 
     if not np.any(active):
         # vacuous objective: every pose is optimal, return the init
-        return PnPSolution(pose=Pose.from_vector(x0), objective_value=0.0,
+        return PnPSolution(pose=Pose.from_vector(x), objective_value=0.0,
                            converged=True, gradient_norm=0.0, iterations=0)
 
-    def fun(x):
-        value, grad = _value_and_gradient(w, s, points, x, active)
-        return value, _clip_gradient(grad, config.gradient_clip)
+    # the objective is sum(w) - sum(s_j . u_j); this bounds its rounding
+    noise = 64 * _EPS * np.sum(w[active])
+    value, g = _value_and_gradient(w, s, points, x, active)
+    iterations = 0
+    while (np.linalg.norm(g) > config.gradient_tolerance
+           and iterations < config.max_iterations):
+        step = _damped_step(w, s, points, active, x, value, g, noise)
+        if step is None:
+            break
+        x, value, g = step
+        iterations += 1
 
-    result = minimize(
-        fun, x0, jac=True, method="L-BFGS-B",
-        options={
-            "maxcor": config.history,
-            "maxiter": config.max_iterations,
-            "ftol": 1e-18,
-            "gtol": config.gradient_tolerance / 10.0,
-        })
-    x = result.x
-    iterations = int(result.nit)
+    if np.linalg.norm(g) <= config.gradient_tolerance:
+        H = _hessian(w, s, points, x, active)
+        for _ in range(config.max_iterations - iterations):
+            try:
+                x_new = x - cho_solve(cho_factor(H), g)
+                _, g_new = _value_and_gradient(w, s, points, x_new, active)
+            except (np.linalg.LinAlgError, NumericalError):
+                break
+            if np.linalg.norm(g_new) >= np.linalg.norm(g):
+                break
+            x, g = x_new, g_new
 
-    _, g = _value_and_gradient(w, s, points, x, active)
-    gnorm = float(np.linalg.norm(g))
-    if config.newton_polish:
-        x, gnorm = _newton_polish(w, s, points, x, active,
-                                  config.polish_tolerance)
     x = np.concatenate([canonicalize_angle_axis(x[:3]), x[3:]])
     value, g = _value_and_gradient(w, s, points, x, active)
     gnorm = float(np.linalg.norm(g))

@@ -43,9 +43,6 @@ def report(number: int, label: str, passed: bool, detail: str = ""):
     assert passed, f"criterion {number}: {label}{suffix}"
 
 
-POLISHED_SOLVER = PnPSolverConfig(newton_polish=True, polish_tolerance=1e-13)
-
-
 def test_criterion_01_sinkhorn_feasibility():
     rng = np.random.default_rng(10)
     sinkhorn_forward(rng.uniform(0, 3, (200, 300)), mu=0.1)  # warm-up
@@ -117,11 +114,9 @@ def test_criterion_05_solver_path_independence():
         problem = PnPProblem(bearings=inst.bearings, points=inst.points,
                              weights=P, init=inst.gt_pose)
         short = pnp_solve(problem, PnPSolverConfig(
-            max_iterations=25, newton_polish=True, polish_tolerance=1e-14,
-            gradient_tolerance=1e-10))
+            max_iterations=25, gradient_tolerance=1e-10))
         long = pnp_solve(problem, PnPSolverConfig(
-            max_iterations=200, newton_polish=True, polish_tolerance=1e-14,
-            gradient_tolerance=1e-10))
+            max_iterations=200, gradient_tolerance=1e-10))
         ok &= short.gradient_norm <= 1e-10 and long.gradient_norm <= 1e-10
         g = rng.standard_normal(6)
         diff = np.max(np.abs(pnp_vjp(problem, short, g)
@@ -142,8 +137,7 @@ def test_criterion_06_end_to_end_chain():
 
 
 def _recovery_config(seed: int) -> PipelineConfig:
-    return PipelineConfig(ransac=RansacConfig(seed=seed),
-                          solver=POLISHED_SOLVER)
+    return PipelineConfig(ransac=RansacConfig(seed=seed))
 
 
 def test_criterion_07_noiseless_recovery():
@@ -201,7 +195,7 @@ def test_criterion_09_robustness_to_candidate_outliers():
                            1.0 / max(est.inliers.shape[0], 1)))
         problem = PnPProblem(bearings=bearings, points=points,
                              weights=weights, init=est.pose)
-        refined = pnp_solve(problem, POLISHED_SOLVER)
+        refined = pnp_solve(problem)
         rot = geodesic_rotation_angle(refined.pose.matrix(), pose.matrix())
         trans = translation_error(refined.pose.t, pose.t)
         if rot <= 1e-3 and trans <= 1e-3:

@@ -65,8 +65,7 @@ def dataset(tmp_path):
 class TestSolve:
     def test_clean_instances_solve_accurately(self, dataset, tmp_path):
         out = tmp_path / "sol"
-        assert run_cli(["solve", str(dataset), "--out", str(out),
-                        "--newton-polish"]) == 0
+        assert run_cli(["solve", str(dataset), "--out", str(out)]) == 0
         lines = (out / "solve.csv").read_text().splitlines()
         assert lines[0] == "# schema: blindpnp-solve-v1"
         rows = [line.split(",") for line in lines[2:]]

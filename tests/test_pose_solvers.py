@@ -175,15 +175,15 @@ class TestRansac:
             cand = make_candidates(rng, pose)
             est = ransac_p3p(cand, RansacConfig(seed=seed))
             # geometric refinement over the inlier set, as in the pipeline
-            from blindpnp.weighted_pnp import (PnPProblem, PnPSolverConfig,
-                                               SparseWeights, pnp_solve)
+            from blindpnp.weighted_pnp import (PnPProblem, SparseWeights,
+                                               pnp_solve)
             weights = SparseWeights(
                 pairs=est.inliers,
                 values=np.full(est.inliers.shape[0],
                                1.0 / max(est.inliers.shape[0], 1)))
             problem = PnPProblem(bearings=cand.bearings, points=cand.points,
                                  weights=weights, init=est.pose)
-            refined = pnp_solve(problem, PnPSolverConfig(newton_polish=True))
+            refined = pnp_solve(problem)
             if geodesic_rotation_angle(refined.pose.matrix(), pose.matrix()) \
                     <= 1e-3 and translation_error(refined.pose.t, pose.t) <= 1e-3:
                 hits += 1

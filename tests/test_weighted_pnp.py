@@ -2,8 +2,8 @@
 the implicit backward pass.
 
 Finite-difference oracles re-derive every analytic quantity; re-solve
-probes (tight Newton-polished solves certified by their own gradient
-norm) provide the oracle for the backward pass.
+probes (tight solves certified by their own gradient norm) provide the
+oracle for the backward pass.
 """
 
 import numpy as np
@@ -11,7 +11,8 @@ import pytest
 
 from blindpnp.errors import (NumericalError, SingularHessianError,
                              ValidationError)
-from blindpnp.geometry import Pose, geodesic_rotation_angle, translation_error
+from blindpnp.geometry import (Pose, exp_so3, geodesic_rotation_angle, log_so3,
+                               translation_error)
 from blindpnp.weighted_pnp import (PnPProblem, PnPSolverConfig, PnPSolution,
                                    SparseWeights, pnp_objective,
                                    pnp_second_order, pnp_solve, pnp_vjp)
@@ -34,8 +35,7 @@ def concentrated_problem(rng, m=10, n=10, seed_pose=None, spread=0.4):
     return PnPProblem(bearings=bearings, points=points, weights=P, init=pose), pose
 
 
-TIGHT = PnPSolverConfig(newton_polish=True, polish_tolerance=1e-14,
-                        gradient_tolerance=1e-10)
+TIGHT = PnPSolverConfig(gradient_tolerance=1e-10)
 
 
 class TestObjective:
@@ -128,6 +128,46 @@ class TestSolve:
         assert geodesic_rotation_angle(solution.pose.matrix(),
                                        pose.matrix()) <= 1e-6
         assert translation_error(solution.pose.t, pose.t) <= 1e-6
+
+    @pytest.mark.parametrize("degrees", [20.0, 45.0, 90.0])
+    def test_far_init_converges_to_truth(self, rng, degrees):
+        # far from the optimum H is indefinite: only damped steps descend
+        for _ in range(5):
+            pose = random_pose(rng)
+            points = rng.uniform(-0.5, 0.5, (50, 3))
+            P = np.eye(50) / 50
+            axis = rng.standard_normal(3)
+            turn = exp_so3(np.radians(degrees) * axis / np.linalg.norm(axis))
+            init = Pose(log_so3(turn @ pose.matrix()), pose.t)
+            problem = PnPProblem(bearings=exact_bearings(pose, points),
+                                 points=points, weights=P, init=init)
+            solution = pnp_solve(problem)
+            assert solution.converged
+            assert geodesic_rotation_angle(solution.pose.matrix(),
+                                           pose.matrix()) <= 1e-6
+            assert translation_error(solution.pose.t, pose.t) <= 1e-6
+
+    def test_singular_hessian_everywhere_is_damped(self, rng):
+        # one pair constrains two of the six pose coordinates
+        pose = random_pose(rng)
+        points = rng.uniform(-0.5, 0.5, (1, 3))
+        problem = PnPProblem(bearings=exact_bearings(pose, points),
+                             points=points, weights=np.array([[1.0]]),
+                             init=Pose(pose.r + 0.1, pose.t + 0.1))
+        solution = pnp_solve(problem)
+        assert solution.converged
+        assert solution.objective_value <= 1e-12
+
+    def test_newton_polish_field_has_no_effect(self, rng):
+        problem, pose = concentrated_problem(rng)
+        problem = PnPProblem(bearings=problem.bearings, points=problem.points,
+                             weights=problem.weights,
+                             init=Pose(pose.r + 0.05, pose.t + 0.05))
+        a = pnp_solve(problem)
+        b = pnp_solve(problem, PnPSolverConfig(newton_polish=True))
+        np.testing.assert_array_equal(a.pose.as_vector(), b.pose.as_vector())
+        assert (a.objective_value, a.gradient_norm, a.iterations) == \
+            (b.objective_value, b.gradient_norm, b.iterations)
 
     def test_normalization_validated_but_bypassable(self, rng):
         problem, pose = concentrated_problem(rng)
@@ -286,11 +326,9 @@ class TestSolverPathIndependence:
         # different solver paths to the same optimum must agree
         problem, _ = concentrated_problem(rng, m=12, n=12)
         short = pnp_solve(problem, PnPSolverConfig(
-            max_iterations=25, newton_polish=True, polish_tolerance=1e-14,
-            gradient_tolerance=1e-10))
+            max_iterations=25, gradient_tolerance=1e-10))
         long = pnp_solve(problem, PnPSolverConfig(
-            max_iterations=200, newton_polish=True, polish_tolerance=1e-14,
-            gradient_tolerance=1e-10))
+            max_iterations=200, gradient_tolerance=1e-10))
         assert short.gradient_norm <= 1e-10
         assert long.gradient_norm <= 1e-10
         g = rng.standard_normal(6)
