@@ -298,7 +298,7 @@ def _benchmark_one(task):
     init = Pose(dr, instance.gt_pose.t
                 + rng.standard_normal(3) * args.baseline_init_trans)
     alt = alternation_baseline(instance, init, theta=args.theta,
-                               time_limit=args.time_limit)
+                               solver=config.solver, time_limit=args.time_limit)
 
     rows = {}
     for method, pose in (("refined", result.refined_pose),

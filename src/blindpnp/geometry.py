@@ -278,14 +278,21 @@ def transform_points(pose: Pose, points) -> np.ndarray:
     return points @ pose.matrix().T + pose.t
 
 
+def _dot3(a, b):
+    """np.sum(a * b, axis=-1) bit for bit for a last axis of length 3,
+    without the per-row cost of a reduction over a short axis."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
 def ray_angles(bearings, directions, exact: bool = False,
                pairwise: bool = False) -> np.ndarray:
     """Angles in [0, pi] between unit bearings and unnormalized directions.
 
     Rows are paired, ``bearings[i]`` with ``directions[i]``, giving a (k,)
-    array; with ``pairwise=True`` every bearing meets every direction,
-    giving the (m, n) matrix.  A zero direction (a point at the camera
-    center) has no defined angle: it counts as pi, with a RuntimeWarning.
+    array, or (..., k) over broadcast leading dimensions; with
+    ``pairwise=True`` every bearing meets every direction, giving the
+    (m, n) matrix.  A zero direction (a point at the camera center) has
+    no defined angle: it counts as pi, with a RuntimeWarning.
 
     The default measure is the clamped arccos, whose gradient stays
     finite but whose value floors near 4.5e-4 rad.  ``exact=True`` uses
@@ -296,7 +303,7 @@ def ray_angles(bearings, directions, exact: bool = False,
     """
     f = np.asarray(bearings, dtype=np.float64)
     q = np.asarray(directions, dtype=np.float64)
-    norms = np.linalg.norm(q, axis=1)
+    norms = np.sqrt(_dot3(q, q))
     degenerate = norms == 0.0
     any_degenerate = degenerate.any()
     if any_degenerate:
@@ -307,7 +314,7 @@ def ray_angles(bearings, directions, exact: bool = False,
     if pairwise:
         c = (f @ q.T) / norms[None, :]
     else:
-        c = np.sum(f * q, axis=1) / norms
+        c = _dot3(f, q) / norms
     # Rounding can push c just outside [-1, 1]; neither measure needs a
     # clip for that: the arccos clamp lies inside the interval, and the
     # arctan2 form gives exactly 0 or pi there (its sine term is 0).

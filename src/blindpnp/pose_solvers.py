@@ -11,7 +11,9 @@
 * `ransac_p3p` runs P3P hypotheses over weighted candidate pairs (three
   points per sample plus one disambiguating pair), scores by angular
   inlier count, early-exits on the usual confidence bound, and refines
-  the best one-to-one inlier set with EPnP.
+  the best one-to-one inlier set with EPnP.  Hypotheses are solved,
+  probed and scored a batch of samples at a time; `p3p` is a batch of
+  one through the same solver.
 """
 
 from __future__ import annotations
@@ -20,70 +22,169 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import hungarian
+from .assignment import _SENTINEL_COST, hungarian
 from .errors import DegenerateGeometryError, NumericalError, ValidationError
 from .geometry import (Pose, check_pairs_in_range, log_so3, ray_angles,
                        transform_points)
 
 _COLLINEAR_DIST = 1e-9
 _COLLINEAR_AREA = 1e-12
+_EDGES = (np.array([0, 0, 1]), np.array([1, 2, 2]))  # point pairs ab, ac, bc
+_NEWTON_STEPS = 8
+_BATCH = 64  # RANSAC samples evaluated together
 
 
-def _rigid_align(world: np.ndarray, camera: np.ndarray) -> Pose:
-    """Least-squares rigid transform with R @ world + t ~= camera (Kabsch)."""
-    wc = world.mean(axis=0)
-    cc = camera.mean(axis=0)
-    S = (camera - cc).T @ (world - wc)
+def _rigid_align(world: np.ndarray, camera: np.ndarray):
+    """Least-squares rigid transforms with R @ world + t ~= camera (Kabsch),
+    over leading batch dimensions: R (..., 3, 3) and t (..., 3)."""
+    wc, cc = world.mean(axis=-2), camera.mean(axis=-2)
+    S = np.swapaxes(camera - cc[..., None, :], -1, -2) @ (world - wc[..., None, :])
     U, _, Vt = np.linalg.svd(S)
-    D = np.diag([1.0, 1.0, np.linalg.det(U @ Vt)])
+    D = np.broadcast_to(np.eye(3), S.shape).copy()
+    D[..., 2, 2] = np.linalg.det(U @ Vt)
     R = U @ D @ Vt
-    t = cc - R @ wc
-    return Pose(log_so3(R), t)
+    return R, cc - (R @ wc[..., None])[..., 0]
 
 
-def _check_minimal_points(points: np.ndarray) -> None:
-    d01 = np.linalg.norm(points[0] - points[1])
-    d02 = np.linalg.norm(points[0] - points[2])
-    d12 = np.linalg.norm(points[1] - points[2])
-    if min(d01, d02, d12) <= _COLLINEAR_DIST:
-        raise DegenerateGeometryError("three-point set has coincident points")
-    area = 0.5 * np.linalg.norm(
-        np.cross(points[1] - points[0], points[2] - points[0]))
-    if area <= _COLLINEAR_AREA:
-        raise DegenerateGeometryError("three-point set is collinear")
+def _minimal_degeneracy(p: np.ndarray):
+    """Masks of the (..., 3, 3) point triples that are coincident or collinear."""
+    i, j = _EDGES
+    dist = np.linalg.norm(p[..., i, :] - p[..., j, :], axis=-1)
+    coincident = dist.min(axis=-1) <= _COLLINEAR_DIST
+    area = 0.5 * np.linalg.norm(np.cross(p[..., 1, :] - p[..., 0, :],
+                                         p[..., 2, :] - p[..., 0, :]), axis=-1)
+    return coincident, ~coincident & (area <= _COLLINEAR_AREA)
 
 
-def _trilateration_newton(s, cos_ab, cos_ac, cos_bc, d_ab, d_ac, d_bc,
-                          iterations: int = 8):
-    """Polish camera-frame depths (s1, s2, s3) on the law-of-cosines system."""
+def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise product of (B, la) and (B, lb) polynomial coefficients."""
+    out = np.zeros((a.shape[0], a.shape[1] + b.shape[1] - 1))
+    for i in range(a.shape[1]):
+        out[:, i:i + b.shape[1]] += a[:, i:i + 1] * b
+    return out
+
+
+def _law_of_cosines(s, cos, target):
+    """Residuals s_i^2 + s_j^2 - 2 s_i s_j cos_ij - d_ij^2 over the three
+    edges of a (c, 3) stack of depths, and their (c, 3, 3) Jacobian."""
+    i, j = _EDGES
+    si, sj = s[:, i], s[:, j]
+    F = si * si + sj * sj - 2.0 * si * sj * cos - target
+    J = np.zeros(s.shape + (3,))
+    J[:, [0, 1, 2], i] = 2.0 * si - 2.0 * sj * cos
+    J[:, [0, 1, 2], j] = 2.0 * sj - 2.0 * si * cos
+    return F, J
+
+
+def _polish_depths(s, cos, target):
+    """Newton on the law-of-cosines system for a (c, 3) stack of depths;
+    returns the depths and each row's max-norm residual.  A row stops
+    after a step taken from a residual below 1e-15 of its largest
+    target, at a singular Jacobian, or after _NEWTON_STEPS."""
     s = s.copy()
-    target = np.array([d_ab**2, d_ac**2, d_bc**2])
-    for _ in range(iterations):
-        s1, s2, s3 = s
-        F = np.array([
-            s1 * s1 + s2 * s2 - 2.0 * s1 * s2 * cos_ab,
-            s1 * s1 + s3 * s3 - 2.0 * s1 * s3 * cos_ac,
-            s2 * s2 + s3 * s3 - 2.0 * s2 * s3 * cos_bc,
-        ]) - target
-        J = np.array([
-            [2 * s1 - 2 * s2 * cos_ab, 2 * s2 - 2 * s1 * cos_ab, 0.0],
-            [2 * s1 - 2 * s3 * cos_ac, 0.0, 2 * s3 - 2 * s1 * cos_ac],
-            [0.0, 2 * s2 - 2 * s3 * cos_bc, 2 * s3 - 2 * s2 * cos_bc],
-        ])
+    tol = 1e-15 * target.max(axis=1)
+    active = np.arange(s.shape[0])
+    for _ in range(_NEWTON_STEPS):
+        F, J = _law_of_cosines(s[active], cos[active], target[active])
+        solved = np.ones(active.size, dtype=bool)
         try:
-            step = np.linalg.solve(J, F)
-        except np.linalg.LinAlgError:
-            return s, np.max(np.abs(F))
-        s = s - step
-        if np.max(np.abs(F)) < 1e-15 * np.max(target):
-            break
-    s1, s2, s3 = s
-    F = np.array([
-        s1 * s1 + s2 * s2 - 2.0 * s1 * s2 * cos_ab,
-        s1 * s1 + s3 * s3 - 2.0 * s1 * s3 * cos_ac,
-        s2 * s2 + s3 * s3 - 2.0 * s2 * s3 * cos_bc,
-    ]) - target
-    return s, np.max(np.abs(F))
+            step = np.linalg.solve(J, F[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # a singular row: solve row by row
+            step = np.zeros_like(F)
+            for r in range(active.size):
+                try:
+                    step[r] = np.linalg.solve(J[r], F[r])
+                except np.linalg.LinAlgError:
+                    solved[r] = False
+        s[active[solved]] -= step[solved]
+        active = active[solved & ~(np.max(np.abs(F), axis=1) < tol[active])]
+    F, _ = _law_of_cosines(s, cos, target)
+    return s, np.max(np.abs(F), axis=1)
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # bad rows are masked out
+def _p3p_batch(f: np.ndarray, p: np.ndarray):
+    """P3P for a (B, 3, 3) stack of unit bearings and points.
+
+    Returns R (B, 12, 3, 3), t (B, 12, 3) and a (B, 12) mask of at most
+    four solutions per row, over root candidates in root order; a row
+    with coincident or collinear points has none.  Every step treats
+    rows and candidates independently, so no row depends on the others.
+    """
+    B = f.shape[0]
+    i, j = _EDGES
+    cos = np.sum(f[:, i] * f[:, j], axis=-1)             # ab, ac, bc
+    dist = np.linalg.norm(p[:, i] - p[:, j], axis=-1)
+    cos_ab, cos_ac, cos_bc = cos.T[:, :, None]
+    d_ab, d_ac, d_bc = dist.T[:, :, None]
+
+    # Depths s_i along each bearing satisfy three law-of-cosines equations.
+    # With s2 = u s1 and s3 = v s1, eliminating s1 and u leaves a quartic
+    # in v, assembled here by polynomial arithmetic (coefficients ordered
+    # highest degree first, as np.roots expects).
+    #   A(v) = (d_bc/d_ac)^2 (1 + v^2 - 2 v cos_ac)      [u^2+v^2-2uv cos_bc]
+    #   C(v) = (d_ab/d_ac)^2 (1 + v^2 - 2 v cos_ac)      [u^2+1 -2u  cos_ab]
+    #   u = N(v)/D(v),  N = A - C - v^2 + 1,  D = 2(cos_ab - v cos_bc)
+    #   quartic: N^2 + D^2 - 2 N D cos_ab - C D^2 = 0
+    kc = (d_ab / d_ac) ** 2
+    base = np.concatenate([np.ones((B, 1)), -2.0 * cos_ac, np.ones((B, 1))], 1)
+    C = kc * base
+    N = (d_bc / d_ac) ** 2 * base - C - np.array([1.0, 0.0, -1.0])
+    D = np.concatenate([-2.0 * cos_bc, 2.0 * cos_ab], axis=1)
+    D2 = _polymul(D, D)
+    quartic = _polymul(N, N)
+    quartic[:, 2:] += D2
+    quartic[:, 1:] -= 2.0 * cos_ab * _polymul(N, D)
+    quartic -= _polymul(C, D2)
+
+    # the roots are the eigenvalues of the companion matrix, as in np.roots,
+    # which handles the rows with a zero first or last coefficient itself
+    q = quartic / np.max(np.abs(quartic), axis=1, keepdims=True)
+    usable = np.all(np.isfinite(q), axis=1) & ~np.any(_minimal_degeneracy(p), 0)
+    full = usable & (q[:, 0] != 0) & (q[:, 4] != 0)
+    companion = np.repeat(np.eye(4, k=-1)[None], np.count_nonzero(full), 0)
+    companion[:, 0] = -q[full, 1:] / q[full, :1]
+    roots = np.full((B, 4), np.nan, dtype=complex)
+    roots[full] = np.linalg.eigvals(companion)
+    for r in np.flatnonzero(usable & ~full):
+        found = np.roots(q[r])
+        roots[r, :found.size] = found
+
+    v = roots.real
+    real = np.abs(roots.imag) <= 1e-6 * np.maximum(1.0, np.abs(v))
+    base_v = 1.0 + v * v - 2.0 * v * cos_ac
+    # u satisfies the quadratic u^2 - 2 u cos_ab + 1 - C(v) = 0; both roots
+    # are tried because the rational selector N(v)/D(v) is 0/0 at
+    # symmetric configurations (double roots of the quartic)
+    disc = cos_ab * cos_ab - 1.0 + kc * base_v
+    denom = 2.0 * (cos_ab - v * cos_bc)
+    sq = np.sqrt(disc)
+    rational = ((N[:, :1] * v + N[:, 1:2]) * v + N[:, 2:]) / denom
+    u = np.stack([cos_ab + sq, cos_ab - sq, rational], axis=2).reshape(B, 12)
+    tried = np.stack([disc >= 0, disc >= 0, np.abs(denom) > 1e-9], axis=2)
+    tried &= (real & (v > 0) & (base_v > 0))[:, :, None]
+    row, slot = np.nonzero(tried.reshape(B, 12) & (u > 0))
+    s1 = d_ac / np.sqrt(base_v)
+    s = s1[row, slot // 3, None] * np.stack(
+        [np.ones(row.size), u[row, slot], v[row, slot // 3]], axis=1)
+    s, resid = _polish_depths(s, cos[row], dist[row] ** 2)
+    good = np.zeros((B, 12), dtype=bool)
+    good[row, slot] = np.all(s > 0, axis=1) & (resid <= 1e-9 * dist[row].max(1) ** 2)
+    depths = np.full((3, B, 12), np.nan)  # depth axis first: fast maxima over it
+    depths[:, row, slot] = s.T
+
+    # keep the first four solutions that differ from every one kept before
+    close = (np.max(np.abs(depths[:, :, :, None] - depths[:, :, None]), axis=0)
+             < 1e-9 * np.max(depths, axis=0)[:, :, None])
+    ok = np.zeros((B, 12), dtype=bool)
+    for c in range(12):
+        ok[:, c] = (good[:, c] & ~np.any(ok[:, :c] & close[:, c, :c], axis=1)
+                    & (np.count_nonzero(ok[:, :c], axis=1) < 4))
+    row, slot = np.nonzero(ok)
+    R, t = np.full((B, 12, 3, 3), np.nan), np.full((B, 12, 3), np.nan)
+    R[row, slot], t[row, slot] = _rigid_align(
+        p[row], depths[:, row, slot].T[:, :, None] * f[row])
+    return R, t, ok
 
 
 def p3p(bearings, points) -> list[Pose]:
@@ -98,81 +199,15 @@ def p3p(bearings, points) -> list[Pose]:
     p = np.asarray(points, dtype=np.float64)
     if f.shape != (3, 3) or p.shape != (3, 3):
         raise ValidationError("p3p expects three bearings and three points")
-    norms = np.linalg.norm(f, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
+    if np.any(np.abs(np.linalg.norm(f, axis=1) - 1.0) > 1e-9):
         raise ValidationError("bearings must be unit vectors")
-    _check_minimal_points(p)
-
-    cos_ab = float(f[0] @ f[1])
-    cos_ac = float(f[0] @ f[2])
-    cos_bc = float(f[1] @ f[2])
-    d_ab = np.linalg.norm(p[0] - p[1])
-    d_ac = np.linalg.norm(p[0] - p[2])
-    d_bc = np.linalg.norm(p[1] - p[2])
-
-    # Depths s_i along each bearing satisfy three law-of-cosines equations.
-    # With s2 = u s1 and s3 = v s1, eliminating s1 and u leaves a quartic
-    # in v, assembled here by polynomial arithmetic (coefficients ordered
-    # highest degree first, as np.roots expects).
-    #   A(v) = (d_bc/d_ac)^2 (1 + v^2 - 2 v cos_ac)      [u^2+v^2-2uv cos_bc]
-    #   C(v) = (d_ab/d_ac)^2 (1 + v^2 - 2 v cos_ac)      [u^2+1 -2u  cos_ab]
-    #   u = N(v)/D(v),  N = A - C - v^2 + 1,  D = 2(cos_ab - v cos_bc)
-    #   quartic: N^2 + D^2 - 2 N D cos_ab - C D^2 = 0
-    ka = (d_bc / d_ac) ** 2
-    kc = (d_ab / d_ac) ** 2
-    base = np.array([1.0, -2.0 * cos_ac, 1.0])          # v^2 - 2 v cos_ac + 1
-    A = ka * base
-    C = kc * base
-    N = A - C - np.array([1.0, 0.0, -1.0])
-    D = np.array([-2.0 * cos_bc, 2.0 * cos_ab])
-    D2 = np.polymul(D, D)
-    quartic = np.polyadd(np.polymul(N, N), D2)
-    quartic = np.polysub(quartic, 2.0 * cos_ab * np.polymul(N, D))
-    quartic = np.polysub(quartic, np.polymul(C, D2))
-
-    lead = np.max(np.abs(quartic))
-    if lead == 0.0:
-        return []
-    roots = np.roots(quartic / lead)
-
-    poses = []
-    seen: list[np.ndarray] = []
-    scale = max(d_ab, d_ac, d_bc) ** 2
-    for root in roots:
-        if abs(root.imag) > 1e-6 * max(1.0, abs(root.real)):
-            continue
-        v = float(root.real)
-        if v <= 0:
-            continue
-        base_v = 1.0 + v * v - 2.0 * v * cos_ac
-        if base_v <= 0:
-            continue
-        s1 = d_ac / np.sqrt(base_v)
-        # u satisfies the quadratic u^2 - 2 u cos_ab + 1 - C(v) = 0; both
-        # roots are tried because the rational selector N(v)/D(v) is 0/0
-        # at symmetric configurations (double roots of the quartic)
-        disc = cos_ab * cos_ab - 1.0 + kc * base_v
-        candidates_u = []
-        if disc >= 0:
-            sq = np.sqrt(disc)
-            candidates_u.extend([cos_ab + sq, cos_ab - sq])
-        denom = 2.0 * (cos_ab - v * cos_bc)
-        if abs(denom) > 1e-9:
-            candidates_u.append(float(np.polyval(N, v) / denom))
-        for u in candidates_u:
-            if u <= 0:
-                continue
-            s = np.array([s1, u * s1, v * s1])
-            s, resid = _trilateration_newton(s, cos_ab, cos_ac, cos_bc,
-                                             d_ab, d_ac, d_bc)
-            if not np.all(s > 0) or resid > 1e-9 * scale:
-                continue
-            if any(np.max(np.abs(s - prev)) < 1e-9 * s.max() for prev in seen):
-                continue  # duplicate solution
-            seen.append(s)
-            camera = s[:, None] * f
-            poses.append(_rigid_align(p, camera))
-    return poses[:4]
+    coincident, collinear = _minimal_degeneracy(p)
+    if coincident:
+        raise DegenerateGeometryError("three-point set has coincident points")
+    if collinear:
+        raise DegenerateGeometryError("three-point set is collinear")
+    R, t, ok = _p3p_batch(f[None], p[None])
+    return [Pose(log_so3(Rs), ts) for Rs, ts in zip(R[ok], t[ok])]
 
 
 def _control_points(points: np.ndarray):
@@ -182,14 +217,11 @@ def _control_points(points: np.ndarray):
     cov = centered.T @ centered / points.shape[0]
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
-    eigvals = eigvals[order]
+    scales = np.sqrt(np.maximum(eigvals[order], 0.0))
     eigvecs = eigvecs[:, order]
-    scales = np.sqrt(np.maximum(eigvals, 0.0))
     planar = scales[2] <= 1e-9 * max(scales[0], 1e-300)
-    axes = 2 if planar else 3
-    ctrl = [centroid]
-    for a in range(axes):
-        ctrl.append(centroid + scales[a] * eigvecs[:, a])
+    ctrl = [centroid] + [centroid + scales[a] * eigvecs[:, a]
+                         for a in range(2 if planar else 3)]
     return np.asarray(ctrl), planar
 
 
@@ -212,11 +244,9 @@ def _betas_from_distances(V: np.ndarray, ctrl: np.ndarray,
     camera control points.  Solves the linearized system in the products
     beta_a beta_b, then extracts a consistent sign pattern.
     """
-    k = ctrl.shape[0]
-    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
-    dv = np.array([[V[i, a] - V[i, b] for (a, b) in pairs]
-                   for i in range(n_basis)])      # (n_basis, npairs, 3)
-    dc = np.array([np.linalg.norm(ctrl[a] - ctrl[b]) for (a, b) in pairs])
+    i, j = np.triu_indices(ctrl.shape[0], 1)       # control-point pairs
+    dv = np.ascontiguousarray(V[:, i] - V[:, j])  # (n_basis, npairs, 3)
+    dc = np.array([np.linalg.norm(d) for d in ctrl[i] - ctrl[j]])
 
     if n_basis == 1:
         num = float(np.sum(np.linalg.norm(dv[0], axis=1) * dc))
@@ -227,30 +257,24 @@ def _betas_from_distances(V: np.ndarray, ctrl: np.ndarray,
 
     # unknowns: products beta_a * beta_b for a <= b
     prods = [(a, b) for a in range(n_basis) for b in range(a, n_basis)]
-    L = np.zeros((len(pairs), len(prods)))
-    for row, _ in enumerate(pairs):
+    L = np.zeros((dc.size, len(prods)))
+    for row in range(dc.size):
         for col, (a, b) in enumerate(prods):
             fac = 1.0 if a == b else 2.0
             L[row, col] = fac * float(dv[a, row] @ dv[b, row])
     sol, *_ = np.linalg.lstsq(L, dc**2, rcond=None)
-    betas = np.zeros(n_basis)
-    b11 = sol[prods.index((0, 0))]
-    betas[0] = np.sqrt(abs(b11))
-    if betas[0] == 0:
+    b0 = np.sqrt(abs(sol[0]))  # prods begins (0, 0), (0, 1), (0, 2)
+    if b0 == 0:
         return None
-    for a in range(1, n_basis):
-        betas[a] = sol[prods.index((0, a))] / betas[0]
-    return betas
+    return np.concatenate([[b0], sol[1:n_basis] / b0])
 
 
 def _refine_betas(betas: np.ndarray, V: np.ndarray, ctrl: np.ndarray,
                   iterations: int = 10) -> np.ndarray:
     """Gauss-Newton on the control-point distance residuals."""
-    k = ctrl.shape[0]
-    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
-    dc2 = np.array([np.sum((ctrl[a] - ctrl[b]) ** 2) for (a, b) in pairs])
-    dv = np.array([[V[i, a] - V[i, b] for (a, b) in pairs]
-                   for i in range(len(betas))])
+    i, j = np.triu_indices(ctrl.shape[0], 1)
+    dc2 = np.sum((ctrl[i] - ctrl[j]) ** 2, axis=1)
+    dv = np.ascontiguousarray(V[:, i] - V[:, j])
     for _ in range(iterations):
         diff = np.einsum("i,ipx->px", betas, dv)
         resid = np.sum(diff * diff, axis=1) - dc2
@@ -265,10 +289,15 @@ def _refine_betas(betas: np.ndarray, V: np.ndarray, ctrl: np.ndarray,
     return betas
 
 
-def _pose_residual(f: np.ndarray, p: np.ndarray, pose: Pose,
-                   weights: np.ndarray) -> float:
-    ang = ray_angles(f, transform_points(pose, p))
-    return float(np.average(ang, weights=weights))
+def _epnp_design(f: np.ndarray, w: np.ndarray,
+                 alphas: np.ndarray) -> np.ndarray:
+    """The (3n, 3k) EPnP system: pair i contributes w_i skew(f_i) applied
+    to sum_a alpha_ia x_a = 0, block (i, a) being w_i alpha_ia skew(f_i)."""
+    S = np.zeros((f.shape[0], 3, 3))
+    S[:, [2, 0, 1], [1, 2, 0]] = f
+    S[:, [1, 2, 0], [2, 0, 1]] = -f
+    M = (w[:, None] * alphas)[:, None, :, None] * S[:, :, None, :]
+    return M.reshape(3 * f.shape[0], 3 * alphas.shape[1])
 
 
 def epnp(bearings, points, weights=None) -> Pose:
@@ -301,21 +330,12 @@ def epnp(bearings, points, weights=None) -> Pose:
     k = ctrl.shape[0]
     alphas = _barycentric(p, ctrl)
 
-    # each pair contributes skew(f_i) applied to sum_k alpha_ik x_k = 0
-    M = np.zeros((3 * npts, 3 * k))
-    for i in range(npts):
-        fx, fy, fz = f[i]
-        S = np.array([[0.0, -fz, fy], [fz, 0.0, -fx], [-fy, fx, 0.0]])
-        for a in range(k):
-            M[3 * i:3 * i + 3, 3 * a:3 * a + 3] = w[i] * alphas[i, a] * S
-
-    MtM = M.T @ M
-    eigvals, eigvecs = np.linalg.eigh(MtM)
+    M = _epnp_design(f, w, alphas)
+    _, eigvecs = np.linalg.eigh(M.T @ M)
     max_basis = 2 if planar else 3
     V = eigvecs[:, :max_basis].T.reshape(max_basis, k, 3)
 
-    best_pose = None
-    best_err = np.inf
+    best_pose, best_err = None, np.inf
     for n_basis in range(1, max_basis + 1):
         betas = _betas_from_distances(V[:n_basis], ctrl, n_basis)
         if betas is None:
@@ -330,13 +350,14 @@ def epnp(bearings, points, weights=None) -> Pose:
         if not np.isfinite(scale) or scale < 1e-12:
             continue
         try:
-            pose = _rigid_align(p, cam)
+            R, t = _rigid_align(p, cam)
+            pose = Pose(log_so3(R), t)
         except (ValidationError, np.linalg.LinAlgError):
             continue
-        err = _pose_residual(f, p, pose, w)
+        err = float(np.average(ray_angles(f, transform_points(pose, p)),
+                               weights=w))
         if err < best_err:
-            best_err = err
-            best_pose = pose
+            best_err, best_pose = err, pose
     if best_pose is None:
         raise NumericalError("epnp control-point system is degenerate")
     return best_pose
@@ -396,9 +417,12 @@ class RobustEstimate:
     hypothesis_count: int = 0    # inliers of the best minimal hypothesis
 
 
-def _candidate_angles(cand: CandidateSet, pose: Pose) -> np.ndarray:
-    q = transform_points(pose, cand.points[cand.pairs[:, 1]])
-    return ray_angles(cand.bearings[cand.pairs[:, 0]], q, exact=True)
+def _candidate_angles(fc: np.ndarray, pc: np.ndarray, R: np.ndarray,
+                      t: np.ndarray) -> np.ndarray:
+    """Exact angles of the candidate pairs (bearings fc, points pc) under
+    rotations R (..., 3, 3) and translations t (..., 3)."""
+    return ray_angles(fc, pc @ np.swapaxes(R, -1, -2) + t[..., None, :],
+                      exact=True)
 
 
 def _one_to_one_inliers(cand: CandidateSet, angles: np.ndarray,
@@ -408,21 +432,39 @@ def _one_to_one_inliers(cand: CandidateSet, angles: np.ndarray,
     if not np.any(mask):
         return np.zeros((0, 2), dtype=np.int64)
     pairs = cand.pairs[mask]
-    ang = angles[mask]
-    rows = np.unique(pairs[:, 0])
-    cols = np.unique(pairs[:, 1])
+    rows, ri = np.unique(pairs[:, 0], return_inverse=True)
+    cols, ci = np.unique(pairs[:, 1], return_inverse=True)
     if rows.size == pairs.shape[0] and cols.size == pairs.shape[0]:
         return pairs[np.argsort(pairs[:, 0])]  # already one-to-one
-    rmap = {r: i for i, r in enumerate(rows)}
-    cmap = {c: i for i, c in enumerate(cols)}
-    sentinel = 1e6
-    cost = np.full((rows.size, cols.size), sentinel)
-    for (i, j), a in zip(pairs, ang):
-        cost[rmap[i], cmap[j]] = min(cost[rmap[i], cmap[j]], a)
+    cost = np.full((rows.size, cols.size), _SENTINEL_COST)
+    np.minimum.at(cost, (ri, ci), angles[mask])
     matches = hungarian(cost)
-    keep = cost[matches[:, 0], matches[:, 1]] < sentinel
-    matches = matches[keep]
+    matches = matches[cost[matches[:, 0], matches[:, 1]] < _SENTINEL_COST]
     return np.stack([rows[matches[:, 0]], cols[matches[:, 1]]], axis=1)
+
+
+def _score_samples(cand: CandidateSet, fc: np.ndarray, pc: np.ndarray,
+                   sel: np.ndarray, threshold: float):
+    """Hypotheses of a (B, 4) batch of candidate samples: three feed P3P,
+    the fourth picks the solution of smallest angular residual.  Returns
+    each sample's inlier count (-1 when it forms no hypothesis: a repeated
+    bearing or point, a degenerate triple or no P3P solution) and the
+    chosen R (B, 3, 3) and t (B, 3)."""
+    tri = sel[:, :3]
+    rows = np.flatnonzero(np.all(
+        np.diff(np.sort(cand.pairs[tri], axis=1), axis=1) != 0, axis=(1, 2)))
+    R, t, ok = _p3p_batch(fc[tri[rows]], pc[tri[rows]])
+    probe = sel[rows, 3]
+    q = (R @ pc[probe, None, :, None])[..., 0] + t
+    resid = np.where(ok, ray_angles(fc[probe, None], q), np.inf)
+    formed = np.flatnonzero(ok.any(axis=1))
+    rows, pick = rows[formed], np.argmin(resid[formed], axis=1)
+    counts = np.full(sel.shape[0], -1)
+    R_best, t_best = np.zeros((sel.shape[0], 3, 3)), np.zeros((sel.shape[0], 3))
+    R_best[rows], t_best[rows] = R[formed, pick], t[formed, pick]
+    inlier = _candidate_angles(fc, pc, R_best[rows], t_best[rows]) <= threshold
+    counts[rows] = np.count_nonzero(inlier, axis=1)
+    return counts, R_best, t_best
 
 
 def ransac_p3p(candidates: CandidateSet, config: RansacConfig) -> RobustEstimate:
@@ -433,57 +475,48 @@ def ransac_p3p(candidates: CandidateSet, config: RansacConfig) -> RobustEstimate
     Scoring counts candidates within the angular threshold (many-to-one
     allowed); the final inlier set is made one-to-one by a Hungarian
     pass on angular cost and refined with EPnP when it has four or more
-    pairs.  Deterministic for a fixed seed.
+    pairs.  Hypotheses are evaluated _BATCH samples at a time, then
+    taken in sample order under the confidence bound, so the result is
+    that of one sample at a time.  Deterministic for a fixed seed.
     """
     k = len(candidates)
     if k < 4:
         raise ValidationError(f"ransac needs at least 4 candidates, got {k}")
+    fc = candidates.bearings[candidates.pairs[:, 0]]
+    pc = candidates.points[candidates.pairs[:, 1]]
+    if np.any(np.abs(np.linalg.norm(fc, axis=1) - 1.0) > 1e-9):
+        raise ValidationError("bearings must be unit vectors")
     rng = np.random.default_rng(config.seed)
     thr = config.inlier_threshold
 
-    best_count = 0
-    best_pose: Pose | None = None
-    needed = config.max_iterations
-    it = 0
+    best_count, best = 0, None
+    needed, it = config.max_iterations, 0
     while it < min(config.max_iterations, needed):
-        it += 1
-        sel = rng.choice(k, size=4, replace=False)
-        tri = candidates.pairs[sel[:3]]
-        # degenerate sample: repeated bearing or repeated point
-        if (len(set(tri[:, 0])) < 3 or len(set(tri[:, 1])) < 3):
-            continue
-        try:
-            hyps = p3p(candidates.bearings[tri[:, 0]],
-                       candidates.points[tri[:, 1]])
-        except DegenerateGeometryError:
-            continue
-        if not hyps:
-            continue
-        probe = candidates.pairs[sel[3]]
-        fb = candidates.bearings[probe[0]]
-        pp = candidates.points[probe[1]]
-        q = np.concatenate([transform_points(hyp, pp[None]) for hyp in hyps])
-        resid = ray_angles(np.broadcast_to(fb, q.shape), q)
-        pose = hyps[int(np.argmin(resid))]
-        count = int(np.count_nonzero(_candidate_angles(candidates, pose) <= thr))
-        if count > best_count or best_pose is None:
-            best_count = count
-            best_pose = pose
-            w = count / k
-            if w >= 1.0:
-                needed = it
-            elif w > 0:
-                denom = np.log1p(-min(w**4, 1.0 - 1e-16))
-                needed = int(np.ceil(np.log(1.0 - config.confidence) / denom))
+        size = min(_BATCH, min(config.max_iterations, needed) - it)
+        sel = np.array([rng.choice(k, size=4, replace=False)
+                        for _ in range(size)])
+        counts, R, t = _score_samples(candidates, fc, pc, sel, thr)
+        for b in range(size):
+            it += 1
+            if counts[b] >= 0 and (counts[b] > best_count or best is None):
+                best_count, best = int(counts[b]), (R[b], t[b])
+                w = best_count / k
+                if w >= 1.0:
+                    needed = it
+                elif w > 0:
+                    denom = np.log1p(-min(w**4, 1.0 - 1e-16))
+                    needed = int(np.ceil(np.log(1.0 - config.confidence)
+                                         / denom))
+            if it >= min(config.max_iterations, needed):
+                break
 
-    if best_pose is None:
-        # no hypothesis could even be formed (all samples degenerate)
+    if best is None:  # no hypothesis could be formed (all samples degenerate)
         return RobustEstimate(pose=Pose.identity(),
                               inliers=np.zeros((0, 2), dtype=np.int64),
-                              iterations_used=it, found_pose=False,
-                              hypothesis_count=0)
+                              iterations_used=it, found_pose=False)
 
-    angles = _candidate_angles(candidates, best_pose)
+    best_pose = Pose(log_so3(best[0]), best[1])
+    angles = _candidate_angles(fc, pc, best_pose.matrix(), best_pose.t)
     inliers = _one_to_one_inliers(candidates, angles, thr)
     pose = best_pose
     if inliers.shape[0] >= 4:

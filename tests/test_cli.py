@@ -147,6 +147,22 @@ class TestBenchmark:
         assert (a / "recall.csv").read_bytes() \
             == (b / "recall.csv").read_bytes()
 
+    def test_refine_flags_reach_alternation_baseline(self, tmp_path):
+        # noisy pixels, so the baseline's refinements take several steps
+        data = tmp_path / "noisy"
+        run_cli(["generate", "--count", "2", "--seed", "40",
+                 "--n-points", "25", "--out", str(data)])
+        rows = {}
+        for iterations in ("200", "1"):
+            out = tmp_path / f"b{iterations}"
+            assert run_cli(["benchmark", "--dataset", str(data),
+                            "--out", str(out),
+                            "--refine-iterations", iterations]) == 0
+            lines = (out / "benchmark.csv").read_text().splitlines()
+            rows[iterations] = {line.split(",")[0]: line for line in lines[2:]}
+        assert rows["200"]["ransac"] == rows["1"]["ransac"]
+        assert rows["200"]["alternation"] != rows["1"]["alternation"]
+
     def test_empty_dataset_rejected(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -8,12 +8,16 @@ forward from a known pose.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from blindpnp.errors import DegenerateGeometryError, ValidationError
-from blindpnp.geometry import (Pose, geodesic_rotation_angle,
+from blindpnp.geometry import (Pose, geodesic_rotation_angle, log_so3,
                                translation_error)
 from blindpnp.pose_solvers import (CandidateSet, RansacConfig, ransac_p3p,
-                                   epnp, p3p)
+                                   epnp, p3p, _epnp_design, _p3p_batch,
+                                   _polish_depths)
 
 from conftest import exact_bearings, random_pose, tiny_angle
 
@@ -76,7 +80,172 @@ class TestP3P:
             p3p(points, points)
 
 
+def minimal_row(kind: str, seed: int, eps: float):
+    """Bearings and points of one three-point problem of the given kind."""
+    rng = np.random.default_rng(seed)
+    if kind == "symmetric":
+        # camera on the mirror plane of an isosceles triangle, moved off
+        # it by eps: the quartic's roots crowd together, which is where
+        # the Newton polish and the duplicate test are least certain
+        a, b = rng.uniform(0.2, 0.6, 2)
+        points = np.array([[a, 0.0, 0.0], [-a, 0.0, 0.0], [0.0, b, 0.0]])
+        points += eps * rng.standard_normal((3, 3))
+        pose = Pose(np.zeros(3), [0.0, rng.uniform(-0.3, 0.3), 4.5])
+    else:
+        points = rng.uniform(-0.5, 0.5, (3, 3))
+        pose = random_pose(rng)
+        if kind == "coincident":
+            points[1] = points[0]
+        elif kind == "collinear":
+            points[2] = 2.0 * points[1] - points[0]
+    return exact_bearings(pose, points), points
+
+
+def reference_p3p(f, p):
+    """The one-sample P3P that the batched solver replaced: np.roots on
+    the quartic, then a scalar Newton polish of each root candidate."""
+    cos_ab, cos_ac, cos_bc = f[0] @ f[1], f[0] @ f[2], f[1] @ f[2]
+    d_ab, d_ac, d_bc = (np.linalg.norm(p[a] - p[b])
+                        for a, b in ((0, 1), (0, 2), (1, 2)))
+    ka, kc = (d_bc / d_ac) ** 2, (d_ab / d_ac) ** 2
+    base = np.array([1.0, -2.0 * cos_ac, 1.0])
+    N = ka * base - kc * base - np.array([1.0, 0.0, -1.0])
+    D = np.array([-2.0 * cos_bc, 2.0 * cos_ab])
+    D2 = np.polymul(D, D)
+    quartic = np.polyadd(np.polymul(N, N), D2)
+    quartic = np.polysub(quartic, 2.0 * cos_ab * np.polymul(N, D))
+    quartic = np.polysub(quartic, np.polymul(kc * base, D2))
+    cos = np.array([cos_ab, cos_ac, cos_bc])
+    target = np.array([d_ab, d_ac, d_bc]) ** 2
+    edges = ((0, 1), (0, 2), (1, 2))
+
+    def residual(s):
+        return np.array([s[a] ** 2 + s[b] ** 2 - 2.0 * s[a] * s[b] * c
+                         for (a, b), c in zip(edges, cos)]) - target
+
+    poses, seen = [], []
+    for root in np.roots(quartic / np.max(np.abs(quartic))):
+        v = root.real
+        base_v = 1.0 + v * v - 2.0 * v * cos_ac
+        if abs(root.imag) > 1e-6 * max(1.0, abs(v)) or v <= 0 or base_v <= 0:
+            continue
+        s1 = d_ac / np.sqrt(base_v)
+        disc = cos_ab * cos_ab - 1.0 + kc * base_v
+        us = [cos_ab + np.sqrt(disc), cos_ab - np.sqrt(disc)] \
+            if disc >= 0 else []
+        denom = 2.0 * (cos_ab - v * cos_bc)
+        if abs(denom) > 1e-9:
+            us.append(np.polyval(N, v) / denom)
+        for u in (u for u in us if u > 0):
+            s = np.array([s1, u * s1, v * s1])
+            for _ in range(8):
+                F = residual(s)
+                J = np.zeros((3, 3))
+                for e, ((a, b), c) in enumerate(zip(edges, cos)):
+                    J[e, a] = 2 * s[a] - 2 * s[b] * c
+                    J[e, b] = 2 * s[b] - 2 * s[a] * c
+                try:
+                    s = s - np.linalg.solve(J, F)
+                except np.linalg.LinAlgError:
+                    break
+                if np.max(np.abs(F)) < 1e-15 * target.max():
+                    break
+            resid = np.max(np.abs(residual(s)))
+            if (np.all(s > 0) and resid <= 1e-9 * target.max()
+                    and all(np.max(np.abs(s - q)) >= 1e-9 * s.max()
+                            for q in seen)):
+                seen.append(s)
+                camera = s[:, None] * f
+                cc, wc = camera.mean(axis=0), p.mean(axis=0)
+                U, _, Vt = np.linalg.svd((camera - cc).T @ (p - wc))
+                R = U @ np.diag([1.0, 1.0, np.linalg.det(U @ Vt)]) @ Vt
+                poses.append(Pose(log_so3(R), cc - R @ wc))
+    return poses[:4]
+
+
+class TestBatchedP3P:
+    def test_matches_one_sample_reference(self, rng):
+        # the arithmetic order changed (batched sums, eigenvalues of a
+        # stack), so the poses agree to rounding, not bit for bit; near a
+        # double root of the quartic rounding grows to about sqrt(eps)
+        for _ in range(300):
+            points = rng.uniform(-0.5, 0.5, (3, 3))
+            bearings = exact_bearings(random_pose(rng), points)
+            got = p3p(bearings, points)
+            expected = reference_p3p(bearings, points)
+            assert len(got) == len(expected)
+            for x, y in zip(got, expected):
+                assert np.max(np.abs(x.as_vector() - y.as_vector())) <= 1e-7
+
+    @settings(deadline=None, derandomize=True, database=None,
+              max_examples=60)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["random", "random", "symmetric", "coincident",
+                         "collinear"]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 1e-12, 1e-9, 1e-6])), min_size=1, max_size=12))
+    def test_rows_match_their_batch_of_one(self, rows):
+        f, p = (np.stack(a) for a in zip(*(minimal_row(*r) for r in rows)))
+        R, t, ok = _p3p_batch(f, p)
+        assert np.all(np.count_nonzero(ok, axis=1) <= 4)
+        for b in range(len(rows)):
+            try:
+                single = p3p(f[b], p[b])
+            except DegenerateGeometryError:
+                assert rows[b][0] in ("coincident", "collinear")
+                assert not ok[b].any()
+                continue
+            batch = [Pose(log_so3(Rs), ts)
+                     for Rs, ts in zip(R[b, ok[b]], t[b, ok[b]])]
+            assert len(batch) == len(single)
+            for x, y in zip(batch, single):
+                assert x.r.tobytes() == y.r.tobytes()
+                assert x.t.tobytes() == y.t.tobytes()
+
+    def test_singular_jacobian_row_leaves_the_rest_unchanged(self, rng):
+        # zero depths make the Jacobian zero: that row stops where it is
+        # and the batch falls back to row-by-row solves
+        s = rng.uniform(3.0, 5.0, (5, 3))
+        s[2] = 0.0
+        cos = rng.uniform(0.9, 0.99, (5, 3))
+        target = rng.uniform(0.1, 0.5, (5, 3))
+        depths, resid = _polish_depths(s, cos, target)
+        assert np.array_equal(depths[2], np.zeros(3))
+        assert resid[2] == np.max(target[2])
+        for r in (0, 1, 3, 4):
+            alone, alone_resid = _polish_depths(s[r:r + 1], cos[r:r + 1],
+                                                target[r:r + 1])
+            assert depths[r].tobytes() == alone[0].tobytes()
+            assert resid[r] == alone_resid[0]
+
+
+def design_matrix_loop(f, w, alphas):
+    """The EPnP system built block by block."""
+    npts, k = alphas.shape
+    M = np.zeros((3 * npts, 3 * k))
+    for i in range(npts):
+        fx, fy, fz = f[i]
+        S = np.array([[0.0, -fz, fy], [fz, 0.0, -fx], [-fy, fx, 0.0]])
+        for a in range(k):
+            M[3 * i:3 * i + 3, 3 * a:3 * a + 3] = w[i] * alphas[i, a] * S
+    return M
+
+
 class TestEPnP:
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_design_matrix_matches_loop(self, data):
+        n = data.draw(st.integers(1, 12))
+        k = data.draw(st.sampled_from([3, 4]))
+        values = st.floats(-2.0, 2.0, allow_subnormal=False)
+        f = data.draw(arrays(np.float64, (n, 3), elements=values))
+        w = data.draw(arrays(np.float64, n, elements=st.floats(0.0, 2.0)))
+        alphas = data.draw(arrays(np.float64, (n, k), elements=values))
+        M = _epnp_design(f, w, alphas)
+        expected = design_matrix_loop(f, w, alphas)
+        assert M.tobytes() == expected.tobytes()
+        assert (M.T @ M).tobytes() == (expected.T @ expected).tobytes()
+
     def test_recovers_pose_from_ten_pairs(self, rng):
         for _ in range(50):
             pose = random_pose(rng)
@@ -219,6 +388,29 @@ class TestRansac:
         est = ransac_p3p(cand, RansacConfig(seed=0, max_iterations=50))
         assert not est.found_pose
         assert est.inliers.shape[0] == 0
+
+    @pytest.mark.parametrize("seed, wrong, pinned", [
+        (0, 75, (61, 78, 76, 5700)),
+        (1, 150, (317, 78, 75, 5550)),
+        (2, 225, (909, 80, 75, 5550)),
+    ])
+    def test_pinned_results(self, seed, wrong, pinned):
+        # values of the one-sample-at-a-time loop that batching replaced:
+        # iterations, best hypothesis count, inliers and their index sum
+        rng = np.random.default_rng(seed)
+        cand = make_candidates(rng, random_pose(rng), wrong_count=wrong)
+        est = ransac_p3p(cand, RansacConfig(seed=seed))
+        assert (est.iterations_used, est.hypothesis_count,
+                est.inliers.shape[0], int(est.inliers.sum())) == pinned
+
+    def test_non_unit_candidate_bearing_rejected(self, rng):
+        cand = make_candidates(rng, random_pose(rng))
+        bearings = cand.bearings.copy()
+        bearings[cand.pairs[-1, 0]] *= 1.01
+        bad = CandidateSet(pairs=cand.pairs, weights=cand.weights,
+                           bearings=bearings, points=cand.points)
+        with pytest.raises(ValidationError, match="unit"):
+            ransac_p3p(bad, RansacConfig(seed=0, max_iterations=1))
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

@@ -335,3 +335,27 @@ class TestSolverPathIndependence:
         a = pnp_vjp(problem, short, g)
         b = pnp_vjp(problem, long, g)
         assert np.max(np.abs(a - b)) <= 1e-6
+
+    def test_vjp_agnostic_to_initialization(self, rng):
+        # Newton takes the same path under both budgets above, so start a
+        # second solve several degrees away: a different path to the
+        # same optimum must give the same backward pass
+        problem, _ = concentrated_problem(rng, m=12, n=12)
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        off = Pose(log_so3(exp_so3(np.radians(6.0) * axis)
+                           @ problem.init.matrix()),
+                   problem.init.t + 0.05 * rng.standard_normal(3))
+        moved = PnPProblem(bearings=problem.bearings, points=problem.points,
+                           weights=problem.weights, init=off)
+        near = pnp_solve(problem, TIGHT)
+        far = pnp_solve(moved, TIGHT)
+        assert near.gradient_norm <= 1e-10
+        assert far.gradient_norm <= 1e-10
+        assert (far.iterations != near.iterations
+                or far.pose.as_vector().tobytes()
+                != near.pose.as_vector().tobytes())
+        g = rng.standard_normal(6)
+        a = pnp_vjp(problem, near, g)
+        b = pnp_vjp(moved, far, g)
+        assert np.max(np.abs(a - b)) <= 1e-6
