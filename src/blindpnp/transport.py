@@ -13,18 +13,19 @@ larger regularization values, which cuts the iteration count by orders
 of magnitude.
 
 The backward pass never materializes the (mn x mn) Jacobian.  At the
-optimum the objective's Hessian in P is diagonal, diag(mu / P_ij), the
-mixed second derivative with respect to M is the identity, and the
-marginal constraints form a (m + n - 1)-row full-rank system A (one
-redundant column constraint is dropped).  Implicit differentiation of
-the optimality conditions then gives, for an upstream gradient G = dL/dP,
+optimum the Hessian in P is diag(mu / P_ij), so implicit
+differentiation (Eisenberger et al., CVPR 2022) gives, for G = dL/dP,
 
     dL/dM = W * (alpha_i + beta_j - G_ij),   W = P / mu,
 
-where (alpha, beta) solve the reduced system  S [alpha; beta] = A (W*G)
-with S = A diag(W) A'.  S has diagonal blocks (row/column sums of W) and
-off-diagonal block W itself, so the solve reduces to a Cholesky of a
-single Schur complement of size min(m, n-1): peak memory stays O(mn).
+with diag(d1) alpha + W beta = rho and W' alpha + diag(d2) beta = gam
+(d1, d2: row and column sums of W; rho, gam: those of W * G).
+Eliminating alpha = (rho - W beta) / d1 leaves S beta = gam - W' (rho
+/ d1), S = diag(d2) - W' diag(1/d1) W: positive semidefinite with the
+single null vector 1 and a consistent right-hand side, so no
+constraint is dropped.  Jacobi-preconditioned conjugate gradients solve
+it without forming S, one product with W and one with W' per step, for
+every m and n in O(mn) memory.
 """
 
 from __future__ import annotations
@@ -32,12 +33,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
 from .errors import NumericalError, ValidationError
 
 _ABSORB_MAX = 1e130  # scaling magnitude that triggers log-absorption
+_ANNEAL_START = 0.1  # first regularization value of an annealed solve
+_ANNEAL_FACTOR = 3.0  # ratio between successive annealing stages
+_CG_MAX_ITERATIONS = 1000  # cap on conjugate-gradient steps in the backward
 
 
 @dataclass(frozen=True)
@@ -148,8 +151,7 @@ def _scale_iterations(logK0, r, c, logr, logc, phi, psi, tol, max_iterations):
 
 def sinkhorn_forward(M, row_prior=None, col_prior=None, mu: float = 0.1,
                      tol: float = 1e-9, max_iterations: int = 10000,
-                     anneal: bool = False, anneal_start: float = 0.1,
-                     anneal_factor: float = 3.0) -> TransportPlan:
+                     anneal: bool = False) -> TransportPlan:
     """Entropy-regularized transport plan with prescribed marginals.
 
     Runs to convergence (max marginal residual <= tol) or to the
@@ -174,10 +176,10 @@ def sinkhorn_forward(M, row_prior=None, col_prior=None, mu: float = 0.1,
         r, c = _validate_priors(row_prior, col_prior, m, n)
     logr, logc = np.log(r), np.log(c)
 
-    if anneal and anneal_start > mu:
-        schedule = [anneal_start]
-        while schedule[-1] > mu * anneal_factor:
-            schedule.append(schedule[-1] / anneal_factor)
+    if anneal and _ANNEAL_START > mu:
+        schedule = [_ANNEAL_START]
+        while schedule[-1] > mu * _ANNEAL_FACTOR:
+            schedule.append(schedule[-1] / _ANNEAL_FACTOR)
         schedule.append(mu)
     else:
         schedule = [mu]
@@ -185,7 +187,6 @@ def sinkhorn_forward(M, row_prior=None, col_prior=None, mu: float = 0.1,
     phi = np.zeros(m)
     psi = np.zeros(n)
     total_it = 0
-    residual = np.inf
     prev_mu = None
     for stage_mu in schedule:
         if prev_mu is not None:
@@ -217,10 +218,9 @@ def sinkhorn_forward(M, row_prior=None, col_prior=None, mu: float = 0.1,
 def sinkhorn_vjp(M, plan: TransportPlan, mu: float, grad_P) -> np.ndarray:
     """dL/dM given dL/dP, by implicit differentiation at the optimum.
 
-    The last column-sum constraint, redundant with the others, is
-    dropped to make the constraint system full rank.  At the optimum the
-    derivative depends on the cost only through the plan, so `M` may be
-    None; when given it is shape-checked.
+    `plan` is a converged TransportPlan or a bare positive plan taken as
+    feasible.  `M`, which dL/dM depends on only through the plan, is
+    shape-checked when given and may be None.
     """
     P = np.asarray(plan.P if isinstance(plan, TransportPlan) else plan,
                    dtype=np.float64)
@@ -235,48 +235,49 @@ def sinkhorn_vjp(M, plan: TransportPlan, mu: float, grad_P) -> np.ndarray:
         raise ValidationError("mu must be positive")
     if np.any(P <= 0):
         raise ValidationError("transport plan must be strictly positive")
-    r = P.sum(axis=1)
-    c = P.sum(axis=0)
-    if isinstance(plan, TransportPlan) and plan.residual > 1e-6:
+    if isinstance(plan, TransportPlan) and not plan.converged:
         raise ValidationError(
-            f"plan violates marginal constraints (residual {plan.residual:.2e})")
+            "plan did not converge; the implicit gradient is undefined "
+            f"(residual {plan.residual:.2e})")
 
-    W = P / mu
-    Z = W * G
-    rho = Z.sum(axis=1)                      # row-constraint side of A @ z
-    gam = Z.sum(axis=0)
+    # W = P / mu scales S and its right-hand side alike, so solve with P
+    rho = np.einsum("ij,ij->i", P, G)
+    gam = np.einsum("ij,ij->j", P, G)
+    r = P.sum(axis=1)
+    y = P.T @ (rho / r)
+    # measured against the terms that form the right-hand side, never
+    # against gam - y itself: on saturated plans that is pure cancellation
+    tol = 1e-12 * (np.linalg.norm(gam) + np.linalg.norm(y))
+    beta = _schur_cg(P, r, P.sum(axis=0), gam - y, tol)
+    alpha = (rho - P @ beta) / r
+    return P * (alpha[:, None] + beta[None, :] - G) / mu
 
-    keep = slice(0, n - 1)
-    Wk = W[:, keep]                          # view, no copy
-    d1 = r / mu                              # row sums of W
-    d2 = c[keep] / mu                        # kept column sums of W
-    gk = gam[keep]
 
-    nk = n - 1
-    beta = np.zeros(n)
-    try:
-        if nk == 0:
-            alpha = rho / d1
-        elif m >= nk:
-            # eliminate the (diagonal) row block, factor the column Schur
-            S = np.diag(d2) - (Wk / d1[:, None]).T @ Wk
-            rhs = gk - Wk.T @ (rho / d1)
-            bk = cho_solve(cho_factor(S, lower=True), rhs)
-            beta[keep] = bk
-            alpha = (rho - Wk @ bk) / d1
-        else:
-            # eliminate the (diagonal) column block, factor the row Schur
-            S = np.diag(d1) - (Wk / d2[None, :]) @ Wk.T
-            rhs = rho - Wk @ (gk / d2)
-            alpha = cho_solve(cho_factor(S, lower=True), rhs)
-            beta[keep] = (gk - Wk.T @ alpha) / d2
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"reduced marginal system is singular (m={m}, n={n}, "
-            f"min plan entry {P.min():.3e}): {exc}") from exc
-
-    out = W * (alpha[:, None] + beta[None, :] - G)
-    return out
+def _schur_cg(P, r, c, b, tol):
+    """x with |(diag(c) - P' diag(1/r) P) x - b| <= tol, by Jacobi-
+    preconditioned conjugate gradients from x = 0."""
+    # c_j minus a sum of at most c_j: below eps * c_j it is rounding
+    diag = c - np.einsum("ij,ij,i->j", P, P, 1.0 / r)
+    inv = 1.0 / np.maximum(diag, np.finfo(np.float64).eps * c)
+    x = np.zeros_like(b)
+    res = b.copy()
+    p = z = inv * res
+    rz = res @ z
+    it = 0
+    while not (norm := np.linalg.norm(res)) <= tol:
+        if it == _CG_MAX_ITERATIONS or not np.isfinite(norm):
+            raise NumericalError(
+                f"transport backward: CG stopped after {it} iterations at "
+                f"residual {norm:.3e} > {tol:.3e}, min plan entry {P.min():.3e}")
+        it += 1
+        Sp = c * p - P.T @ ((P @ p) / r)
+        step = rz / (p @ Sp)
+        x += step * p
+        res -= step * Sp
+        z = inv * res
+        rz, rz_prev = res @ z, rz
+        p = z + (rz / rz_prev) * p
+    return x
 
 
 def pairwise_cost(feat_a, feat_b) -> np.ndarray:

@@ -36,6 +36,9 @@ from .geometry import (Pose, canonicalize_angle_axis, check_pairs_in_range,
 
 _CS_STEP = 1e-20  # complex-step size; no subtractive cancellation
 _EPS = np.finfo(np.float64).eps
+_NORMALIZATION_TOL = 1e-6  # allowed |sum(weights) - 1| of a normalized problem
+_STATIONARITY_TOL = 1e-6  # |grad| above which a pose is not an optimum
+_MAX_CONDITION = 1e12  # pose Hessian condition number the backward accepts
 
 
 @dataclass(frozen=True)
@@ -88,8 +91,7 @@ class PnPProblem:
             return self.weights.total()
         return float(self.weights.sum())
 
-    def validate(self, check_normalization: bool = True,
-                 normalization_tol: float = 1e-6) -> None:
+    def validate(self, check_normalization: bool = True) -> None:
         if np.any(np.abs(np.linalg.norm(self.bearings, axis=1) - 1.0) > 1e-9):
             raise ValidationError("bearings must be unit vectors")
         if isinstance(self.weights, SparseWeights):
@@ -100,9 +102,9 @@ class PnPProblem:
             raise ValidationError("weights must be nonnegative")
         if check_normalization:
             total = self.weight_sum()
-            if abs(total - 1.0) > normalization_tol:
+            if abs(total - 1.0) > _NORMALIZATION_TOL:
                 raise ValidationError(
-                    f"weights sum to {total}, expected 1 +- {normalization_tol}")
+                    f"weights sum to {total}, expected 1 +- {_NORMALIZATION_TOL}")
 
 
 @dataclass(frozen=True)
@@ -320,9 +322,7 @@ def _all_pairs(problem: PnPProblem) -> np.ndarray:
     return np.stack([ii.ravel(), jj.ravel()], axis=1)
 
 
-def pnp_second_order(problem: PnPProblem, pose: Pose,
-                     stationarity_tol: float = 1e-6,
-                     check_stationary: bool = True) -> SecondOrderData:
+def pnp_second_order(problem: PnPProblem, pose: Pose) -> SecondOrderData:
     """Pose Hessian H and mixed-derivative rows B at a stationary pose.
 
     B rows follow `pairs` order (the sparse pair list, or all m*n pairs
@@ -334,19 +334,18 @@ def pnp_second_order(problem: PnPProblem, pose: Pose,
     x = pose.as_vector()
     _, g = _value_and_gradient(w, s, problem.points, x, active)
     gnorm = float(np.linalg.norm(g))
-    if check_stationary and gnorm > stationarity_tol:
+    if gnorm > _STATIONARITY_TOL:
         raise ValidationError(
-            f"pose is not stationary: |grad| = {gnorm:.3e} > {stationarity_tol:.0e}")
+            f"pose is not stationary: |grad| = {gnorm:.3e} > {_STATIONARITY_TOL:.0e}")
     H = _hessian(w, s, problem.points, x, active)
     pairs = _all_pairs(problem)
     B = _pair_gradients(problem, pose, pairs)
     cond = float(np.linalg.cond(H))
     return SecondOrderData(H=H, B=B, pairs=pairs, condition_number=cond,
-                           singular=not np.isfinite(cond) or cond > 1e12)
+                           singular=not np.isfinite(cond) or cond > _MAX_CONDITION)
 
 
-def pnp_vjp(problem: PnPProblem, solution: PnPSolution, grad_pose,
-            max_condition: float = 1e12):
+def pnp_vjp(problem: PnPProblem, solution: PnPSolution, grad_pose):
     """dL/dP given dL/d(r, t), via the implicit function theorem.
 
     Returns an (m, n) array for dense weights or a (k,) array aligned
@@ -363,9 +362,9 @@ def pnp_vjp(problem: PnPProblem, solution: PnPSolution, grad_pose,
     x = pose.as_vector()
     H = _hessian(w, s, problem.points, x, active)
     cond = float(np.linalg.cond(H))
-    if not np.isfinite(cond) or cond > max_condition:
+    if not np.isfinite(cond) or cond > _MAX_CONDITION:
         raise SingularHessianError(
-            f"pose Hessian condition number {cond:.3e} exceeds {max_condition:.0e}",
+            f"pose Hessian condition number {cond:.3e} exceeds {_MAX_CONDITION:.0e}",
             condition_number=cond)
     z = np.linalg.solve(H, grad_pose)
 

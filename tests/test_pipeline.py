@@ -6,7 +6,7 @@ import pytest
 
 from blindpnp.errors import StageError, ValidationError
 from blindpnp.geometry import Pose, geodesic_rotation_angle, translation_error
-from blindpnp.losses import correspondence_loss
+from blindpnp.losses import correspondence_loss, pose_loss
 from blindpnp.pipeline import (PipelineConfig, alternation_baseline, backward,
                                quartiles, recall, solve)
 from blindpnp.pose_solvers import RansacConfig
@@ -82,6 +82,22 @@ class TestBackward:
         config = PipelineConfig(
             sinkhorn_tol=1e-13, ransac=RansacConfig(seed=4))
         return inst, M, config
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_readme_training_example(self, n):
+        # README's library example: the oracle cost at sharpness 5 gives
+        # a near-permutation plan (smallest entry ~1e-25), where the
+        # marginal system's Schur complement is rounding-level
+        inst = generate_instance(SynthConfig(n_points=n, seed=0))
+        M = oracle_cost(inst, sharpness=5.0)
+        result = solve(M, inst, PipelineConfig())
+        _, dlc = correspondence_loss(result.plan.P, inst.bearings,
+                                     inst.points, inst.gt_pose, theta=0.01,
+                                     gt_pairs=inst.gt_pairs)
+        pl = pose_loss(result.refined_pose, inst.gt_pose)
+        dM = backward(result, inst, PipelineConfig(), dlc, pl.grad)
+        assert dM.shape == M.shape
+        assert np.all(np.isfinite(dM))
 
     def test_zero_gradients_give_zero(self):
         inst, M, config = self._case()

@@ -1,14 +1,16 @@
 """Entropic transport: forward feasibility, a closed-form fixed point,
 the small-regularization limit, and the analytic backward pass against
-finite differences.
+finite differences and an extended-precision solve of the full KKT
+system.
 """
 
 import itertools
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -34,6 +36,29 @@ def fd_vjp(M, G, mu, step=1e-6, tol=1e-12):
             dn = sinkhorn_forward(Mm, mu=mu, tol=tol, max_iterations=100000)
             out[i, j] = (np.sum(G * up.P) - np.sum(G * dn.P)) / (2 * step)
     return out
+
+
+def bordered_kkt_vjp(P, mu, G, digits=40):
+    """dL/dM = -x from [[diag(mu/P), A', 0], [A, 0, v], [0, v', 0]]
+    [x; lam; t] = [G; 0; 0] in mpmath, A the (m + n) x mn marginal
+    constraint matrix and v = (1_m, -1_n) its left null vector."""
+    m, n = P.shape
+    k = m * n
+    size = k + m + n + 1
+    with mpmath.workdps(digits):
+        K = mpmath.zeros(size, size)
+        rhs = mpmath.zeros(size, 1)
+        for i in range(m):
+            for j in range(n):
+                e = i * n + j
+                K[e, e] = mpmath.mpf(mu) / mpmath.mpf(P[i, j])
+                for c in (k + i, k + m + j):
+                    K[e, c] = K[c, e] = 1
+                rhs[e] = mpmath.mpf(G[i, j])
+        for c in range(m + n):
+            K[c + k, size - 1] = K[size - 1, c + k] = 1 if c < m else -1
+        x = mpmath.lu_solve(K, rhs)
+        return -np.array([float(x[e]) for e in range(k)]).reshape(m, n)
 
 
 class TestForward:
@@ -214,6 +239,16 @@ class TestBackward:
         with pytest.raises(ValidationError):
             sinkhorn_vjp(M, bad, 0.1, np.ones((3, 3)))
 
+    def test_unconverged_plan_rejected_at_any_residual(self, rng):
+        # the backward takes the forward's own verdict: a plan that
+        # missed the 1e-9 tolerance is refused even at a small residual
+        M = rng.uniform(0, 1, (3, 3))
+        plan = sinkhorn_forward(M, mu=0.1, tol=1e-12)
+        bad = TransportPlan(P=plan.P, iterations=plan.iterations,
+                            residual=1e-7, converged=False)
+        with pytest.raises(ValidationError, match="did not converge"):
+            sinkhorn_vjp(M, bad, 0.1, np.ones((3, 3)))
+
     def test_single_row_and_column_edges(self, rng):
         for shape in ((1, 1), (1, 5), (5, 1)):
             M = rng.uniform(0, 1, shape)
@@ -239,7 +274,53 @@ class TestBackward:
         sinkhorn_vjp(M, plan, 0.1, G)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        assert peak <= 64 * m * n
+        assert peak <= 28 * m * n
+
+    @pytest.mark.parametrize("shape, sharp", [
+        ((4, 5), False), ((5, 4), False), ((1, 4), False), ((4, 1), False),
+        ((4, 5), True), ((5, 4), True), ((5, 5), True)])
+    def test_matches_bordered_kkt_in_extended_precision(self, shape, sharp):
+        # reference: the full KKT system of the forward, with every
+        # marginal constraint and one bordering row fixing the constant
+        # that moves between row and column multipliers, solved in
+        # 40-digit arithmetic for the same float plan
+        m, n = shape
+        rng = np.random.default_rng(m * 10 + n + 100 * sharp)
+        mu = 0.1
+        if sharp:  # near-permutation: off-pattern entries ~ exp(-50)
+            M = np.full(shape, 5.0)
+            M[np.arange(min(m, n)), np.arange(min(m, n))] = 0.0
+        else:
+            M = rng.uniform(0.0, 1.0, shape)
+        plan = sinkhorn_forward(M, mu=mu)
+        assert plan.converged
+        G = rng.standard_normal(shape)
+        got = sinkhorn_vjp(M, plan, mu, G)
+        want = bordered_kkt_vjp(plan.P, mu, G)
+        scale = np.abs(plan.P / mu * G).sum(axis=0).max()
+        assert np.max(np.abs(got - want)) <= 1e-9 * scale
+        if not sharp and min(shape) > 1:  # one row or column: dL/dM = 0
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=60)
+    @given(n=st.integers(2, 60), sharpness=st.floats(0.5, 8.0),
+           mu=st.floats(0.02, 0.5), noise=st.sampled_from([0.0, 0.3, 1.0]),
+           outliers=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 999))
+    def test_total_on_every_converged_plan(self, n, sharpness, mu, noise,
+                                           outliers, seed):
+        # a CG solve that hits its iteration cap raises NumericalError
+        inst = generate_instance(SynthConfig(n_points=n, seed=seed,
+                                             outlier_fraction=outliers))
+        M = oracle_cost(inst, sharpness, noise_sigma=noise, seed=seed)
+        plan = sinkhorn_forward(M, mu=mu)
+        assume(plan.converged)
+        G = np.random.default_rng(seed).standard_normal(M.shape)
+        dM = sinkhorn_vjp(M, plan, mu, G)
+        assert np.all(np.isfinite(dM))
+        # adding a constant to a row or column of M leaves P unchanged
+        scale = np.abs(plan.P / mu * G).sum(axis=0).max()
+        assert np.abs(dM.sum(axis=1)).max() <= 1e-9 * scale
+        assert np.abs(dM.sum(axis=0)).max() <= 1e-9 * scale
 
 
 class TestPairwiseCost:
