@@ -11,9 +11,9 @@ from .geometry import (Pose, angle_between, angular_reprojection_error,
                        bearing_from_pixel, exp_so3, geodesic_rotation_angle,
                        inlier_objective, log_so3, make_intrinsics,
                        rotation_error, translation_error)
-from .assignment import correspondences_from_pose, hungarian, top_k_select
-from .transport import (TransportPlan, pairwise_cost, sinkhorn_forward,
-                        sinkhorn_vjp)
+from .assignment import (correspondences_from_pose, hungarian, one_to_one,
+                         top_k_select)
+from .transport import TransportPlan, sinkhorn_forward, sinkhorn_vjp
 from .pose_solvers import (CandidateSet, RansacConfig, RobustEstimate, epnp,
                            p3p, ransac_p3p)
 from .weighted_pnp import (PnPProblem, PnPSolution, PnPSolverConfig,
@@ -36,9 +36,9 @@ __all__ = [
     "angle_between", "angular_reprojection_error", "inlier_objective",
     "rotation_error", "geodesic_rotation_angle", "translation_error",
     # assignment
-    "hungarian", "correspondences_from_pose", "top_k_select",
+    "hungarian", "one_to_one", "correspondences_from_pose", "top_k_select",
     # transport
-    "TransportPlan", "sinkhorn_forward", "sinkhorn_vjp", "pairwise_cost",
+    "TransportPlan", "sinkhorn_forward", "sinkhorn_vjp",
     # pose solvers
     "p3p", "epnp", "ransac_p3p", "CandidateSet", "RansacConfig",
     "RobustEstimate",

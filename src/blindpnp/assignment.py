@@ -1,8 +1,10 @@
 """One-to-one assignment and candidate selection.
 
-Three operations: minimum-cost bipartite assignment (Hungarian), the
-pose-conditioned correspondence extraction (threshold the angular error,
-then enforce one-to-one with the Hungarian step), and deterministic
+Four operations: minimum-cost bipartite assignment (`hungarian`), its
+sparse form over a pair list (`one_to_one`: pairs that share no row or
+column with another pair are kept as they are, and only the others go
+through `hungarian`), the pose-conditioned correspondence extraction
+(threshold the angular error, then `one_to_one`), and deterministic
 selection of the k most probable entries of a correspondence matrix.
 """
 
@@ -14,9 +16,10 @@ from scipy.optimize import linear_sum_assignment
 from .errors import ValidationError
 from .geometry import Pose, ray_angles, transform_points
 
-# Stand-in cost for pairs excluded by the angular threshold; angles are
-# bounded by pi, so any matching that can avoid a sentinel will.
+# Stand-in cost for the pairs absent from a conflict sub-matrix; far above
+# any angle (at most pi), so a matching that can avoid a sentinel will.
 _SENTINEL_COST = 1e6
+_TIE_CHUNK = 65536  # plan entries scanned at a time for tied top-k entries
 
 
 def hungarian(cost) -> np.ndarray:
@@ -36,25 +39,57 @@ def hungarian(cost) -> np.ndarray:
     return np.stack([rows, cols], axis=1).astype(np.int64)
 
 
+def one_to_one(pairs, costs) -> np.ndarray:
+    """Minimum-cost one-to-one subset of (row, col) pairs, sorted by row.
+
+    The most pairs, and among those the least total cost (a repeated
+    pair counts at its smallest): what `hungarian` gives on the dense
+    matrix of the costs with a sentinel elsewhere, so costs must lie far
+    below 1e6, as angles do.  A free pair, whose row and column no other
+    pair uses, is in every such set (matching its row to its column adds
+    a pair), so only the pairs that share a row or a column go through
+    `hungarian`, on the sub-matrix over their own rows and columns.
+    Where costs tie exactly, the pairing kept may differ from the dense
+    matrix's; the pair count and the total cost do not.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    costs = np.asarray(costs, dtype=np.float64).reshape(-1)
+    if costs.shape[0] != pairs.shape[0]:
+        raise ValidationError(
+            f"{pairs.shape[0]} pairs but {costs.shape[0]} costs")
+    _, ri, row_uses = np.unique(pairs[:, 0], return_inverse=True,
+                                return_counts=True)
+    _, ci, col_uses = np.unique(pairs[:, 1], return_inverse=True,
+                                return_counts=True)
+    free = (row_uses[ri] == 1) & (col_uses[ci] == 1)
+    kept = pairs[free]
+    if not free.all():
+        shared = pairs[~free]
+        rows, sub_r = np.unique(shared[:, 0], return_inverse=True)
+        cols, sub_c = np.unique(shared[:, 1], return_inverse=True)
+        cost = np.full((rows.size, cols.size), _SENTINEL_COST)
+        np.minimum.at(cost, (sub_r, sub_c), costs[~free])
+        matches = hungarian(cost)
+        matches = matches[cost[matches[:, 0], matches[:, 1]] < _SENTINEL_COST]
+        kept = np.concatenate(
+            [kept, np.stack([rows[matches[:, 0]], cols[matches[:, 1]]], 1)])
+    return kept[np.argsort(kept[:, 0])]
+
+
 def correspondences_from_pose(bearings, points, pose: Pose,
                               theta: float) -> np.ndarray:
     """One-to-one pairs whose angular error at `pose` is at most theta.
 
     Pairs above the threshold are excluded up front; among the admissible
-    ones the Hungarian step picks the assignment with the smallest total
-    angular error.  May be empty.
+    ones `one_to_one` picks the largest set with the smallest total
+    angular error.  Sorted by bearing; may be empty.
     """
     if not (0.0 < theta < np.pi):
         raise ValidationError(f"theta must lie in (0, pi), got {theta}")
     angles = ray_angles(bearings, transform_points(pose, points), exact=True,
                         pairwise=True)
     admissible = angles <= theta
-    if not np.any(admissible):
-        return np.zeros((0, 2), dtype=np.int64)
-    cost = np.where(admissible, angles, _SENTINEL_COST)
-    pairs = hungarian(cost)
-    keep = admissible[pairs[:, 0], pairs[:, 1]]
-    return pairs[keep]
+    return one_to_one(np.argwhere(admissible), angles[admissible])
 
 
 def top_k_select(P, k: int):
@@ -67,9 +102,11 @@ def top_k_select(P, k: int):
     negated copy of P.  Only the fewer than k entries strictly above it
     are sorted; the rest are the first entries equal to it in flat
     order, which is ascending (row, column), so a large tie pool (the
-    off-diagonal entries of a sharp plan) is never sorted.  O(mn) time;
-    the extra memory is one float copy of P, freed before the indices of
-    the tied entries are taken.
+    off-diagonal entries of a sharp plan) is never sorted.  They are
+    taken by scanning the plan in chunks of _TIE_CHUNK entries until
+    enough are found.  O(mn) time; the extra memory is one float copy
+    of P, freed before the index passes, then a one-byte mask of P for
+    the entries above the k-th, plus O(k + _TIE_CHUNK).
     """
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2:
@@ -85,9 +122,15 @@ def top_k_select(P, k: int):
     kth = -neg[k - 1]
     del neg  # free the copy before the index passes below
     above = np.flatnonzero(flat > kth)
-    above = above[np.lexsort((above, -flat[above]))]
-    ties = np.flatnonzero(flat == kth)[:k - above.size]
-    chosen = np.concatenate([above, ties])
+    chosen = [above[np.lexsort((above, -flat[above]))]]
+    need = k - above.size
+    for start in range(0, flat.size, _TIE_CHUNK):
+        if need == 0:
+            break
+        ties = np.flatnonzero(flat[start:start + _TIE_CHUNK] == kth)[:need]
+        chosen.append(ties + start)
+        need -= ties.size
+    chosen = np.concatenate(chosen)
     rows, cols = np.divmod(chosen, n)
     return rows.astype(np.int64), cols.astype(np.int64), flat[chosen]
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import _SENTINEL_COST, hungarian
+from .assignment import one_to_one
 from .errors import DegenerateGeometryError, NumericalError, ValidationError
 from .geometry import (Pose, check_pairs_in_range, log_so3, ray_angles,
                        transform_points)
@@ -425,24 +425,6 @@ def _candidate_angles(fc: np.ndarray, pc: np.ndarray, R: np.ndarray,
                       exact=True)
 
 
-def _one_to_one_inliers(cand: CandidateSet, angles: np.ndarray,
-                        threshold: float) -> np.ndarray:
-    """Reduce threshold-passing candidates to a one-to-one pair set."""
-    mask = angles <= threshold
-    if not np.any(mask):
-        return np.zeros((0, 2), dtype=np.int64)
-    pairs = cand.pairs[mask]
-    rows, ri = np.unique(pairs[:, 0], return_inverse=True)
-    cols, ci = np.unique(pairs[:, 1], return_inverse=True)
-    if rows.size == pairs.shape[0] and cols.size == pairs.shape[0]:
-        return pairs[np.argsort(pairs[:, 0])]  # already one-to-one
-    cost = np.full((rows.size, cols.size), _SENTINEL_COST)
-    np.minimum.at(cost, (ri, ci), angles[mask])
-    matches = hungarian(cost)
-    matches = matches[cost[matches[:, 0], matches[:, 1]] < _SENTINEL_COST]
-    return np.stack([rows[matches[:, 0]], cols[matches[:, 1]]], axis=1)
-
-
 def _score_samples(cand: CandidateSet, fc: np.ndarray, pc: np.ndarray,
                    sel: np.ndarray, threshold: float):
     """Hypotheses of a (B, 4) batch of candidate samples: three feed P3P,
@@ -473,11 +455,13 @@ def ransac_p3p(candidates: CandidateSet, config: RansacConfig) -> RobustEstimate
     Each hypothesis samples four distinct candidates: three feed P3P
     and the fourth selects among its solutions by angular residual.
     Scoring counts candidates within the angular threshold (many-to-one
-    allowed); the final inlier set is made one-to-one by a Hungarian
-    pass on angular cost and refined with EPnP when it has four or more
-    pairs.  Hypotheses are evaluated _BATCH samples at a time, then
-    taken in sample order under the confidence bound, so the result is
-    that of one sample at a time.  Deterministic for a fixed seed.
+    allowed); the final inlier set is made one-to-one on angular cost
+    by `one_to_one`, where only the inliers that share a bearing or a
+    point go through the Hungarian step, and refined with EPnP when it
+    has four or more pairs.  Hypotheses are evaluated _BATCH samples at
+    a time, then taken in sample order under the confidence bound, so
+    the result is that of one sample at a time.  Deterministic for a
+    fixed seed.
     """
     k = len(candidates)
     if k < 4:
@@ -517,7 +501,8 @@ def ransac_p3p(candidates: CandidateSet, config: RansacConfig) -> RobustEstimate
 
     best_pose = Pose(log_so3(best[0]), best[1])
     angles = _candidate_angles(fc, pc, best_pose.matrix(), best_pose.t)
-    inliers = _one_to_one_inliers(candidates, angles, thr)
+    passing = angles <= thr
+    inliers = one_to_one(candidates.pairs[passing], angles[passing])
     pose = best_pose
     if inliers.shape[0] >= 4:
         try:

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InstanceFormatError, ValidationError
-from .geometry import (Pose, bearings_to_pixels, check_pairs_in_range,
-                       exp_so3, log_so3, make_intrinsics, pixels_to_bearings,
+from .geometry import (Pose, check_pairs_in_range, exp_so3, log_so3,
+                       make_intrinsics, pixels_to_bearings,
                        validate_one_to_one)
 from .transport import TransportPlan, sinkhorn_forward
 
@@ -379,20 +379,3 @@ def load_instance(path) -> PointSets:
             raise InstanceFormatError(f"missing required section: {required}")
     return PointSets(bearings=bearings, points=points, intrinsics=intrinsics,
                      gt_pose=gt_pose, gt_pairs=gt_pairs, metadata=meta)
-
-
-def pixel_residuals(instance: PointSets, pose: Pose) -> np.ndarray:
-    """Per-pair pixel residuals of ground-truth pairs at a pose.
-
-    Used to verify the noise model: for a generated instance these are
-    the injected pixel perturbations (outlier pairs carry none).
-    """
-    if instance.gt_pairs is None:
-        raise ValidationError("pixel residuals require ground-truth pairs")
-    pairs = instance.gt_pairs
-    observed = bearings_to_pixels(instance.bearings[pairs[:, 0]],
-                                  instance.intrinsics)
-    q = instance.points[pairs[:, 1]] @ pose.matrix().T + pose.t
-    predicted = bearings_to_pixels(q / np.linalg.norm(q, axis=1, keepdims=True),
-                                   instance.intrinsics)
-    return observed - predicted

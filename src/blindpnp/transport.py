@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import NumericalError, ValidationError
 
@@ -116,7 +115,10 @@ def _scale_iterations(logK0, r, c, logr, logc, phi, psi, tol, max_iterations):
     on exit, so log P = logK0 + phi[:, None] + psi[None, :].
     """
     m = r.shape[0]
-    K = _exp_plan(logK0, phi, psi)
+    if phi.any() or psi.any():
+        K = _exp_plan(logK0, phi, psi)
+    else:  # x + 0.0 has the bits of x, and exp(-0.0) = exp(0.0)
+        K = np.exp(logK0)
     u = np.ones(m)
     v = np.ones(c.shape[0])
     omega = 1.0
@@ -323,18 +325,6 @@ def _schur_cg(P, r, c, b, tol):
         rz, rz_prev = res @ z, rz
         p = z + (rz / rz_prev) * p
     return x
-
-
-def pairwise_cost(feat_a, feat_b) -> np.ndarray:
-    """Pairwise Euclidean distance matrix between two feature sets."""
-    a = np.atleast_2d(np.asarray(feat_a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(feat_b, dtype=np.float64))
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValidationError("feature sets must be 2-d arrays")
-    if a.shape[1] != b.shape[1]:
-        raise ValidationError(
-            f"feature dimensions differ: {a.shape[1]} vs {b.shape[1]}")
-    return cdist(a, b, metric="euclidean")
 
 
 def transport_cost(M, P) -> float:

@@ -94,17 +94,19 @@ class PnPProblem:
     def validate(self, check_normalization: bool = True) -> None:
         if np.any(np.abs(np.linalg.norm(self.bearings, axis=1) - 1.0) > 1e-9):
             raise ValidationError("bearings must be unit vectors")
-        if isinstance(self.weights, SparseWeights):
-            check_pairs_in_range(self.weights.pairs, *self.shape, "weight pair")
-            if np.any(self.weights.values < 0):
-                raise ValidationError("weights must be nonnegative")
-        elif np.any(np.asarray(self.weights) < 0):
-            raise ValidationError("weights must be nonnegative")
-        if check_normalization:
-            total = self.weight_sum()
-            if abs(total - 1.0) > _NORMALIZATION_TOL:
-                raise ValidationError(
-                    f"weights sum to {total}, expected 1 +- {_NORMALIZATION_TOL}")
+        values = self.weights
+        if isinstance(values, SparseWeights):
+            check_pairs_in_range(values.pairs, *self.shape, "weight pair")
+            values = values.values
+        # min() >= 0 fails on NaN, a finite sum on +inf; no m x n mask
+        if values.size and not values.min() >= 0:
+            raise ValidationError("weights must be nonnegative numbers")
+        total = self.weight_sum()
+        if not np.isfinite(total):
+            raise ValidationError(f"weights sum to {total}")
+        if check_normalization and abs(total - 1.0) > _NORMALIZATION_TOL:
+            raise ValidationError(
+                f"weights sum to {total}, expected 1 +- {_NORMALIZATION_TOL}")
 
 
 @dataclass(frozen=True)
@@ -149,7 +151,8 @@ def _collapse_weights(problem: PnPProblem):
     else:
         P = problem.weights
         w = P.sum(axis=0)
-        s = P.T @ problem.bearings
+        # not P.T @ bearings: BLAS would pack a transposed copy of P
+        s = (problem.bearings.T @ P).T
     return w, s
 
 

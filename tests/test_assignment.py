@@ -1,7 +1,8 @@
 """Assignment, pose-conditioned correspondences, and top-k selection.
 
 The Hungarian step is checked against exhaustive permutation search for
-sizes where that is feasible; top-k is checked against sort-everything.
+sizes where that is feasible; the sparse one-to-one step against one
+dense Hungarian over every pair; top-k against sort-everything.
 """
 
 import itertools
@@ -13,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from blindpnp.assignment import (candidate_count, correspondences_from_pose,
-                                 hungarian, top_k_select)
+from blindpnp import assignment
+from blindpnp.assignment import (_TIE_CHUNK, candidate_count,
+                                 correspondences_from_pose, hungarian,
+                                 one_to_one, top_k_select)
 from blindpnp.errors import ValidationError
 from blindpnp.geometry import Pose, ray_angles, transform_points
 from blindpnp.synth import SynthConfig, generate_instance, oracle_cost
@@ -82,6 +85,105 @@ class TestHungarian:
         cost[1, 0] = np.inf
         with pytest.raises(ValidationError):
             hungarian(cost)
+
+
+def reference_one_to_one(pairs, costs):
+    """The dense-sentinel form that one_to_one replaced: every row and
+    column of the pair list goes into one Hungarian."""
+    sentinel = 1e6
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if pairs.shape[0] == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    rows, ri = np.unique(pairs[:, 0], return_inverse=True)
+    cols, ci = np.unique(pairs[:, 1], return_inverse=True)
+    if rows.size == pairs.shape[0] and cols.size == pairs.shape[0]:
+        return pairs[np.argsort(pairs[:, 0])]  # already one-to-one
+    cost = np.full((rows.size, cols.size), sentinel)
+    np.minimum.at(cost, (ri, ci), costs)
+    matches = hungarian(cost)
+    matches = matches[cost[matches[:, 0], matches[:, 1]] < sentinel]
+    return np.stack([rows[matches[:, 0]], cols[matches[:, 1]]], axis=1)
+
+
+def random_pair_list(data, tied):
+    """Up to 80 pairs over at most 40 x 40 indices, with repeats; costs
+    in [0, pi], or multiples of 1/4 there when `tied`."""
+    m = data.draw(st.integers(1, 40))
+    n = data.draw(st.integers(1, 40))
+    k = data.draw(st.integers(0, 80))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pairs = np.stack([rng.integers(0, m, k), rng.integers(0, n, k)], axis=1)
+    costs = rng.uniform(0.0, np.pi, k)
+    if tied:
+        costs = np.round(4.0 * costs) / 4.0
+    return pairs, costs
+
+
+def pair_costs(pairs, costs, chosen):
+    """Each chosen pair's cost: its smallest over repeats in the list."""
+    best = {}
+    for (i, j), c in zip(pairs.tolist(), costs.tolist()):
+        best[i, j] = min(c, best.get((i, j), np.inf))
+    return [best[i, j] for i, j in chosen.tolist()]
+
+
+class TestOneToOne:
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_dense_reference_with_untied_costs(self, data):
+        pairs, costs = random_pair_list(data, tied=False)
+        got = one_to_one(pairs, costs)
+        want = reference_one_to_one(pairs, costs)
+        assert got.dtype == np.int64
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_tied_costs_keep_count_and_total(self, data):
+        pairs, costs = random_pair_list(data, tied=True)
+        got = one_to_one(pairs, costs)
+        want = reference_one_to_one(pairs, costs)
+        assert got.shape == want.shape
+        # multiples of 1/4 below 2**40 sum exactly in any order
+        assert sum(pair_costs(pairs, costs, got)) == \
+            sum(pair_costs(pairs, costs, want))
+        assert np.all(np.diff(got[:, 0]) > 0)
+        assert np.unique(got[:, 1]).size == got.shape[0]
+        assert set(map(tuple, got.tolist())) <= set(map(tuple, pairs.tolist()))
+
+    def test_empty(self):
+        got = one_to_one(np.zeros((0, 2), dtype=np.int64), np.zeros(0))
+        assert got.shape == (0, 2) and got.dtype == np.int64
+
+    def test_all_free_pairs_skip_the_hungarian(self, rng, monkeypatch):
+        def fail(cost):
+            raise AssertionError("hungarian called on a conflict-free list")
+        monkeypatch.setattr(assignment, "hungarian", fail)
+        perm = rng.permutation(50)
+        pairs = np.stack([perm, rng.permutation(60)[:50]], axis=1)
+        got = one_to_one(pairs, rng.uniform(0, 1, 50))
+        np.testing.assert_array_equal(got, pairs[np.argsort(perm)])
+
+    def test_single_conflict_component(self, monkeypatch):
+        # rows 0, 1 and columns 0, 1 conflict; (5, 7) and (3, 2) are free.
+        # Two pairs beat the cheapest single pair (0, 0).
+        seen = []
+
+        def spy(cost):
+            seen.append(cost.shape)
+            return hungarian(cost)
+        monkeypatch.setattr(assignment, "hungarian", spy)
+        pairs = np.array([[5, 7], [0, 0], [0, 1], [3, 2], [1, 0]])
+        costs = np.array([0.3, 0.01, 0.5, 0.2, 0.6])
+        got = one_to_one(pairs, costs)
+        np.testing.assert_array_equal(got, [[0, 1], [1, 0], [3, 2], [5, 7]])
+        assert seen == [(2, 2)]
+        np.testing.assert_array_equal(got, reference_one_to_one(pairs, costs))
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ValidationError):
+            one_to_one([[0, 0], [1, 1]], [0.1])
 
 
 class TestCorrespondencesFromPose:
@@ -203,6 +305,25 @@ class TestTopKSelect:
         np.testing.assert_array_equal(cols[:n], perm)
         assert np.all(values[n:] == 1e-20)
         assert_matches_lexsort_oracle(P, [300])
+
+    @pytest.mark.parametrize("levels", [(0.5, 0.25), (0.75, 0.5, 0.25)])
+    def test_ties_across_chunk_boundaries(self, rng, levels):
+        # 300 x 300 plans span two tie-scan chunks; per level, k takes
+        # every tie in the first chunk and stops at its end, or goes on
+        # 1 or 1000 entries into the second
+        assert 300 * 300 > _TIE_CHUNK
+        weights = np.array([0.02, 0.3, 0.68][-len(levels):])
+        P = np.asarray(levels)[rng.choice(len(levels), size=(300, 300),
+                                          p=weights / weights.sum())]
+        flat = P.ravel()
+        ks = [P.size]
+        for level in levels:
+            before = np.count_nonzero(flat > level)
+            in_first = np.count_nonzero(flat[:_TIE_CHUNK] == level)
+            assert in_first < np.count_nonzero(flat == level)
+            ks += [before + in_first, before + in_first + 1,
+                   before + in_first + 1000]
+        assert_matches_lexsort_oracle(P, ks)
 
     def test_candidate_count(self):
         assert candidate_count(100, 100) == 150

@@ -5,12 +5,23 @@ import pytest
 
 from blindpnp.assignment import top_k_select
 from blindpnp.errors import InstanceFormatError, ValidationError
-from blindpnp.geometry import (clamped_arccos, inlier_objective,
-                               transform_points)
+from blindpnp.geometry import (bearings_to_pixels, clamped_arccos,
+                               inlier_objective, transform_points)
 from blindpnp.synth import (EULER_CONVENTION, PointSets, SynthConfig,
                             generate_instance, load_instance,
-                            oracle_probability, pixel_residuals,
-                            save_instance)
+                            oracle_probability, save_instance)
+
+
+def pixel_residuals(instance, pose):
+    """Per-pair pixel residuals of ground-truth pairs at a pose: for a
+    generated instance, the injected pixel perturbations."""
+    pairs = instance.gt_pairs
+    observed = bearings_to_pixels(instance.bearings[pairs[:, 0]],
+                                  instance.intrinsics)
+    q = instance.points[pairs[:, 1]] @ pose.matrix().T + pose.t
+    predicted = bearings_to_pixels(q / np.linalg.norm(q, axis=1, keepdims=True),
+                                   instance.intrinsics)
+    return observed - predicted
 
 
 def euler_zyx_angles(R):

@@ -20,9 +20,8 @@ from blindpnp.losses import correspondence_loss, pose_loss
 from blindpnp.pipeline import PipelineConfig, backward, solve
 from blindpnp.synth import SynthConfig, generate_instance, oracle_cost
 from blindpnp.transport import (_ABSORB_MAX, TransportPlan, _exp_plan,
-                                _logsumexp_rows, pairwise_cost,
-                                sinkhorn_forward, sinkhorn_vjp, transport_cost,
-                                uniform_priors)
+                                _logsumexp_rows, sinkhorn_forward, sinkhorn_vjp,
+                                transport_cost, uniform_priors)
 
 
 def reference_sinkhorn(M, mu, tol=1e-9, max_iterations=10000):
@@ -435,29 +434,3 @@ class TestBackward:
         scale = np.abs(plan.P / mu * G).sum(axis=0).max()
         assert np.abs(dM.sum(axis=1)).max() <= 1e-9 * scale
         assert np.abs(dM.sum(axis=0)).max() <= 1e-9 * scale
-
-
-class TestPairwiseCost:
-    def test_identical_single_vectors(self):
-        np.testing.assert_allclose(pairwise_cost([[1.0, 2.0]], [[1.0, 2.0]]),
-                                   [[0.0]], atol=1e-15)
-
-    def test_unit_basis_vectors(self):
-        a = np.array([[1.0, 0.0, 0.0]])
-        b = np.array([[0.0, 1.0, 0.0]])
-        np.testing.assert_allclose(pairwise_cost(a, b), [[np.sqrt(2)]],
-                                   atol=1e-15)
-
-    def test_matches_naive_loop(self, rng):
-        a = rng.standard_normal((7, 16))
-        b = rng.standard_normal((9, 16))
-        expected = np.zeros((7, 9))
-        for i in range(7):
-            for j in range(9):
-                expected[i, j] = np.sqrt(np.sum((a[i] - b[j]) ** 2))
-        np.testing.assert_allclose(pairwise_cost(a, b), expected, atol=1e-12)
-
-    def test_dimension_mismatch_rejected(self, rng):
-        with pytest.raises(ValidationError):
-            pairwise_cost(rng.standard_normal((3, 4)),
-                          rng.standard_normal((3, 5)))

@@ -178,6 +178,29 @@ class TestSolve:
             pnp_solve(doubled)
         assert pnp_solve(doubled, check_normalization=False).converged
 
+    @pytest.mark.parametrize("bad, check", [(np.nan, True), (np.nan, False),
+                                            (np.inf, False)])
+    def test_non_finite_dense_weights_rejected(self, rng, bad, check):
+        problem, pose = concentrated_problem(rng)
+        P = np.array(problem.weights)
+        P[2, 3] = bad
+        broken = PnPProblem(bearings=problem.bearings, points=problem.points,
+                            weights=P, init=pose)
+        with pytest.raises(ValidationError):
+            pnp_solve(broken, check_normalization=check)
+
+    @pytest.mark.parametrize("check", [True, False])
+    def test_nan_sparse_weight_rejected(self, rng, check):
+        problem, pose = concentrated_problem(rng)
+        values = np.full(10, 0.1)
+        values[4] = np.nan
+        sparse = SparseWeights(pairs=np.stack([np.arange(10)] * 2, axis=1),
+                               values=values)
+        broken = PnPProblem(bearings=problem.bearings, points=problem.points,
+                            weights=sparse, init=pose)
+        with pytest.raises(ValidationError):
+            pnp_solve(broken, check_normalization=check)
+
     def test_sparse_and_dense_agree(self, rng):
         problem, pose = concentrated_problem(rng, m=8, n=8)
         P = np.asarray(problem.weights)
