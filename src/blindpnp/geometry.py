@@ -83,6 +83,9 @@ def skew(v) -> np.ndarray:
     return np.array([[z, -v[2], v[1]], [v[2], z, -v[0]], [-v[1], v[0], z]])
 
 
+_SKEW_BASIS = np.array([skew(e) for e in np.eye(3)])  # E_k = skew(e_k)
+
+
 def _rodrigues_coeffs(sq):
     """Coefficient functions of the Rodrigues formula and its derivative.
 
@@ -136,12 +139,9 @@ def so3_exp_and_derivatives(r):
     S = skew(r)
     S2 = S @ S
     R = np.eye(3, dtype=S.dtype) + a * S + b * S2
-    dR = np.empty((3, 3, 3), dtype=S.dtype)
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = 1.0
-        E = skew(e).astype(S.dtype)
-        dR[k] = c1 * r[k] * S + a * E + c2 * r[k] * S2 + b * (E @ S + S @ E)
+    rk = r[:, None, None]
+    dR = (c1 * rk * S + a * _SKEW_BASIS + c2 * rk * S2
+          + b * (_SKEW_BASIS @ S + S @ _SKEW_BASIS))
     return R, dR
 
 

@@ -137,13 +137,13 @@ def backward(result: PipelineResult, instance: PointSets,
     """
     grad_P = np.asarray(grad_P, dtype=np.float64)
     grad_pose = np.asarray(grad_pose, dtype=np.float64).reshape(6)
-    total = grad_P.copy()
+    total = grad_P  # sinkhorn_vjp does not write to its upstream gradient
     if np.any(grad_pose != 0.0):
         problem = PnPProblem(bearings=instance.bearings,
                              points=instance.points, weights=result.plan.P,
                              init=result.ransac_estimate.pose)
         try:
-            total = total + pnp_vjp(problem, result.refined, grad_pose)
+            total = grad_P + pnp_vjp(problem, result.refined, grad_pose)
         except Exception as exc:
             raise StageError("refine-backward", exc) from exc
     try:

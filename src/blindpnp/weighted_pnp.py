@@ -15,12 +15,16 @@ Backward: at a stationary point, the derivative of the pose with
 respect to the weights is -inv(H) B, where H is the 6x6 pose Hessian
 and column (i, j) of B is the pose gradient of that pair's residual.
 The vector-Jacobian product contracts an upstream pose gradient against
-B in a single pass over pairs, never forming B densely unless asked.
+B without forming B: the entry of pair (i, j) is f_i . C_j with one
+3-vector C_j per point, so the dense product is the rank-3 F C'.
 
-H is evaluated by complex-step differentiation of the analytic gradient
-(step 1e-20, exact to machine precision); the gradient itself and all B
-columns are closed-form.  Both are independently checked against real
-central finite differences in the test suite.
+The gradient, H and all B columns are closed-form.  H takes one
+vectorized pass over the points (a few (n x 6) and (n x 9) matrix
+products); only the second derivatives of the 3x3 rotation come from a
+complex step (step 1e-20, exact to machine precision), at a cost
+independent of n.  All three are checked against real central finite
+differences in the test suite, and H against the complex step of the
+whole gradient that it replaced.
 """
 
 from __future__ import annotations
@@ -92,21 +96,34 @@ class PnPProblem:
         return float(self.weights.sum())
 
     def validate(self, check_normalization: bool = True) -> None:
-        if np.any(np.abs(np.linalg.norm(self.bearings, axis=1) - 1.0) > 1e-9):
-            raise ValidationError("bearings must be unit vectors")
-        values = self.weights
-        if isinstance(values, SparseWeights):
-            check_pairs_in_range(values.pairs, *self.shape, "weight pair")
-            values = values.values
-        # min() >= 0 fails on NaN, a finite sum on +inf; no m x n mask
-        if values.size and not values.min() >= 0:
-            raise ValidationError("weights must be nonnegative numbers")
-        total = self.weight_sum()
-        if not np.isfinite(total):
-            raise ValidationError(f"weights sum to {total}")
-        if check_normalization and abs(total - 1.0) > _NORMALIZATION_TOL:
-            raise ValidationError(
-                f"weights sum to {total}, expected 1 +- {_NORMALIZATION_TOL}")
+        _check_entries(self)
+        _check_total(self.weight_sum(), check_normalization)
+
+
+def _check_entries(problem: PnPProblem) -> None:
+    """Everything `validate` checks but the weight total: finite unit
+    bearings, finite points, in-range pairs and nonnegative weights."""
+    # a NaN norm fails the <= test
+    if not np.all(np.abs(np.linalg.norm(problem.bearings, axis=1) - 1.0)
+                  <= 1e-9):
+        raise ValidationError("bearings must be finite unit vectors")
+    if not np.isfinite(problem.points).all():
+        raise ValidationError("points must be finite")
+    values = problem.weights
+    if isinstance(values, SparseWeights):
+        check_pairs_in_range(values.pairs, *problem.shape, "weight pair")
+        values = values.values
+    # min() >= 0 fails on NaN, a finite total on +inf; no m x n mask
+    if values.size and not values.min() >= 0:
+        raise ValidationError("weights must be nonnegative numbers")
+
+
+def _check_total(total: float, check_normalization: bool) -> None:
+    if not np.isfinite(total):
+        raise ValidationError(f"weights sum to {total}")
+    if check_normalization and abs(total - 1.0) > _NORMALIZATION_TOL:
+        raise ValidationError(
+            f"weights sum to {total}, expected 1 +- {_NORMALIZATION_TOL}")
 
 
 @dataclass(frozen=True)
@@ -164,6 +181,14 @@ def _point_terms(points, r, t):
     return R, dR, q, nq
 
 
+def _check_camera_center(nq, active) -> None:
+    if np.any(np.real(nq[active]) <= 1e-12):
+        j = int(np.flatnonzero(active & (np.real(nq) <= 1e-12))[0])
+        raise NumericalError(
+            f"transformed point {j} lies at the camera center; the weighted "
+            "alignment objective is singular there")
+
+
 def _value_and_gradient(w, s, points, x, active):
     """Objective and 6-vector gradient at pose x = (r, t).
 
@@ -173,11 +198,7 @@ def _value_and_gradient(w, s, points, x, active):
     """
     r, t = x[:3], x[3:]
     R, dR, q, nq = _point_terms(points, r, t)
-    if np.any(np.real(nq[active]) <= 1e-12):
-        j = int(np.flatnonzero(active & (np.real(nq) <= 1e-12))[0])
-        raise NumericalError(
-            f"transformed point {j} lies at the camera center; the weighted "
-            "alignment objective is singular there")
+    _check_camera_center(nq, active)
     safe_nq = np.where(active, nq, 1.0)
     u = q / safe_nq[:, None]
     su = np.sum(s * u, axis=1)
@@ -244,8 +265,11 @@ def pnp_solve(problem: PnPProblem, config: PnPSolverConfig | None = None,
     they would shrink |g| forever); `iterations` counts the damped ones.
     """
     config = config or PnPSolverConfig()
-    problem.validate(check_normalization=check_normalization)
+    # `validate`, with the total taken from the column sums: one pass
+    # over dense weights fewer
+    _check_entries(problem)
     w, s = _collapse_weights(problem)
+    _check_total(float(w.sum()), check_normalization)
     active = (w > 0) | (np.abs(s).sum(axis=1) > 0)
     points = problem.points
     x = np.concatenate([canonicalize_angle_axis(problem.init.r),
@@ -289,13 +313,50 @@ def pnp_solve(problem: PnPProblem, config: PnPSolverConfig | None = None,
 
 
 def _hessian(w, s, points, x, active) -> np.ndarray:
-    """6x6 pose Hessian by complex step of the analytic gradient."""
-    H = np.empty((6, 6))
-    for k in range(6):
-        xc = x.astype(np.complex128)
-        xc[k] += 1j * _CS_STEP
-        _, grad = _value_and_gradient(w, s, points, xc, active)
-        H[:, k] = np.imag(grad) / _CS_STEP
+    """6x6 pose Hessian in closed form, in one pass over the points.
+
+    With q_j = R p_j + t, u_j = q_j / |q_j|, sigma_j = s_j . u_j and
+    J_j = dq_j/dx = [dR[k] p_j | I], the q-Hessian of -s_j . u_j is
+
+        H_q,j = [s_j u_j' + u_j s_j' + sigma_j (I - 3 u_j u_j')] / |q_j|^2
+
+    and H = sum_j J_j' H_q,j J_j + <d2R[k, l], G>, where G = sum_j g_j p_j'
+    contracts the q-gradients g_j with the points.  The rows S_j = s_j' J_j
+    and U_j = u_j' J_j turn every sum over j into an (n x 6) or (n x 9)
+    matrix product.  d2R[k, l] = d(dR[k])/dr_l is a complex step of
+    `so3_exp_and_derivatives` in each rotation direction.
+    """
+    r = x[:3]
+    _, dR, q, nq = _point_terms(points, r, x[3:])
+    _check_camera_center(nq, active)
+    # inactive points have s_j = 0, so every term below vanishes for them
+    safe_nq = np.where(active, nq, 1.0)
+    u = q / safe_nq[:, None]
+    sigma = np.sum(s * u, axis=1)
+    c = 1.0 / safe_nq**2
+    d = sigma * c
+    D = points @ dR.reshape(9, 3).T       # D[j, 3k + a] = (dR[k] p_j)_a
+    D3 = D.reshape(-1, 3, 3)
+    S = np.hstack([np.einsum("jka,ja->jk", D3, s), s])
+    U = np.hstack([np.einsum("jka,ja->jk", D3, u), u])
+    H = (c[:, None] * S).T @ U
+    H += H.T
+    H -= 3.0 * ((d[:, None] * U).T @ U)
+    # sum_j sigma_j J_j' J_j / |q_j|^2
+    H[:3, :3] += np.trace(((d[:, None] * D).T @ D).reshape(3, 3, 3, 3),
+                          axis1=1, axis2=3)
+    cross = (d @ D).reshape(3, 3)
+    H[:3, 3:] += cross
+    H[3:, :3] += cross.T
+    H[3:, 3:] += np.sum(d) * np.eye(3)
+    # rotation term, with the q-gradients of `_value_and_gradient`
+    G = ((sigma[:, None] * u - s) / safe_nq[:, None]).T @ points
+    d2R = np.empty((3, 3, 3, 3))
+    for l in range(3):
+        rc = r.astype(np.complex128)
+        rc[l] += 1j * _CS_STEP
+        d2R[:, l] = so3_exp_and_derivatives(rc)[1].imag / _CS_STEP
+    H[:3, :3] += (d2R.reshape(9, 9) @ G.ravel()).reshape(3, 3)
     return 0.5 * (H + H.T)
 
 
@@ -352,7 +413,8 @@ def pnp_vjp(problem: PnPProblem, solution: PnPSolution, grad_pose):
     """dL/dP given dL/d(r, t), via the implicit function theorem.
 
     Returns an (m, n) array for dense weights or a (k,) array aligned
-    with the sparse pair list.  One 6x6 solve plus one pass over pairs.
+    with the sparse pair list.  One 6x6 solve, one O(n) pass over points,
+    and one pass over pairs: the dense output is the rank-3 product F C'.
     """
     grad_pose = np.asarray(grad_pose, dtype=np.float64).reshape(6)
     if not solution.converged:
@@ -371,24 +433,15 @@ def pnp_vjp(problem: PnPProblem, solution: PnPSolution, grad_pose):
             condition_number=cond)
     z = np.linalg.solve(H, grad_pose)
 
-    r, t = pose.r, pose.t
-    R, dR, q, nq = _point_terms(problem.points, r, t)
+    R, dR, q, nq = _point_terms(problem.points, pose.r, pose.t)
     if np.any(nq <= 1e-12):
         raise NumericalError("transformed point at the camera center")
     u = q / nq[:, None]
-    # a_j = J_r(p_j) @ z_r + z_t; then dL/dP_ij = -gq_ij . a_j
-    a = np.einsum("k,kab,jb->ja", z[:3], dR, problem.points) + z[3:]
-    # -gq_ij . a_j = (f_i . a_j - (f_i . u_j)(u_j . a_j)) / ||q_j||
+    # a_j = J_j z = (sum_k z_k dR[k]) p_j + z_t; then dL/dP_ij = -g_ij . a_j
+    # = (f_i . a_j - (f_i . u_j)(u_j . a_j)) / |q_j| = f_i . C_j: rank 3
+    a = problem.points @ np.tensordot(z[:3], dR, axes=1).T + z[3:]
+    C = (a - np.sum(u * a, axis=1)[:, None] * u) / nq[:, None]
     if isinstance(problem.weights, SparseWeights):
         pairs = problem.weights.pairs
-        f = problem.bearings[pairs[:, 0]]
-        uj = u[pairs[:, 1]]
-        aj = a[pairs[:, 1]]
-        nj = nq[pairs[:, 1]]
-        out = (np.sum(f * aj, axis=1)
-               - np.sum(f * uj, axis=1) * np.sum(uj * aj, axis=1)) / nj
-        return out
-    F = problem.bearings
-    ua = np.sum(u * a, axis=1)
-    out = (F @ a.T - (F @ u.T) * ua[None, :]) / nq[None, :]
-    return out
+        return np.sum(problem.bearings[pairs[:, 0]] * C[pairs[:, 1]], axis=1)
+    return problem.bearings @ C.T

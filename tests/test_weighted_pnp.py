@@ -3,21 +3,66 @@ the implicit backward pass.
 
 Finite-difference oracles re-derive every analytic quantity; re-solve
 probes (tight solves certified by their own gradient norm) provide the
-oracle for the backward pass.
+oracle for the backward pass.  The closed-form Hessian and the rank-3
+backward are checked against the complex-step and dense forms they
+replaced.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindpnp.errors import (NumericalError, SingularHessianError,
                              ValidationError)
-from blindpnp.geometry import (Pose, exp_so3, geodesic_rotation_angle, log_so3,
-                               translation_error)
-from blindpnp.weighted_pnp import (PnPProblem, PnPSolverConfig, PnPSolution,
-                                   SparseWeights, pnp_objective,
+from blindpnp.geometry import (_SMALL_ANGLE_SQ, Pose, exp_so3,
+                               geodesic_rotation_angle, log_so3,
+                               so3_exp_and_derivatives, translation_error)
+from blindpnp.weighted_pnp import (_CS_STEP, PnPProblem, PnPSolverConfig,
+                                   PnPSolution, SparseWeights,
+                                   _collapse_weights, _hessian,
+                                   _value_and_gradient, pnp_objective,
                                    pnp_second_order, pnp_solve, pnp_vjp)
 
 from conftest import exact_bearings, random_pose
+
+
+def reference_hessian(w, s, points, x, active):
+    """The complex-step form that `_hessian` replaced: six complex-valued
+    passes of the analytic gradient, one per pose coordinate."""
+    H = np.empty((6, 6))
+    for k in range(6):
+        xc = x.astype(np.complex128)
+        xc[k] += 1j * _CS_STEP
+        _, grad = _value_and_gradient(w, s, points, xc, active)
+        H[:, k] = np.imag(grad) / _CS_STEP
+    return 0.5 * (H + H.T)
+
+
+def active_points(w, s):
+    return (w > 0) | (np.abs(s).sum(axis=1) > 0)
+
+
+def reference_vjp(problem, solution, grad_pose, hessian=reference_hessian):
+    """The dense form that `pnp_vjp` replaced: (F a' - (F u') * (u . a)) / |q|,
+    two (m x 3) @ (3 x n) products, with a_j = J_j inv(H) grad_pose."""
+    w, s = _collapse_weights(problem)
+    x = solution.pose.canonical().as_vector()
+    H = hessian(w, s, problem.points, x, active_points(w, s))
+    z = np.linalg.solve(H, grad_pose)
+    R, dR = so3_exp_and_derivatives(x[:3])
+    q = problem.points @ R.T + x[3:]
+    nq = np.sqrt(np.sum(q * q, axis=1))
+    u = q / nq[:, None]
+    a = np.einsum("k,kab,jb->ja", z[:3], dR, problem.points) + z[3:]
+    F = problem.bearings
+    ua = np.sum(u * a, axis=1)
+    return (F @ a.T - (F @ u.T) * ua[None, :]) / nq[None, :]
+
+
+def all_pairs(m, n):
+    ii, jj = np.meshgrid(np.arange(m), np.arange(n), indexing="ij")
+    return np.stack([ii.ravel(), jj.ravel()], axis=1)
 
 
 def concentrated_problem(rng, m=10, n=10, seed_pose=None, spread=0.4):
@@ -189,6 +234,30 @@ class TestSolve:
         with pytest.raises(ValidationError):
             pnp_solve(broken, check_normalization=check)
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["bearing", "point"])
+    def test_non_finite_bearing_or_point_rejected(self, rng, where, bad,
+                                                  sparse):
+        problem, pose = concentrated_problem(rng)
+        bearings = np.array(problem.bearings)
+        points = np.array(problem.points)
+        if where == "bearing":
+            bearings[3, 1] = bad
+        else:
+            points[6, 2] = bad
+        weights = problem.weights
+        if sparse:
+            pairs = all_pairs(10, 10)
+            weights = SparseWeights(pairs=pairs,
+                                    values=np.asarray(weights).ravel())
+        broken = PnPProblem(bearings=bearings, points=points,
+                            weights=weights, init=pose)
+        with pytest.raises(ValidationError):
+            broken.validate()
+        with pytest.raises(ValidationError):
+            pnp_solve(broken)
+
     @pytest.mark.parametrize("check", [True, False])
     def test_nan_sparse_weight_rejected(self, rng, check):
         problem, pose = concentrated_problem(rng)
@@ -266,6 +335,98 @@ class TestSecondOrder:
             pnp_second_order(problem, off)
 
 
+def drawn_hessian_case(data):
+    """A pose and a problem for the Hessian sweep.
+
+    The rotation angle lies in the Taylor branch of the exponential map,
+    in the generic range, or within 1e-3 of pi.  Some points carry no
+    weight; sparse weights also list zero-valued pairs on them.  At a
+    stationary pose every bearing sees its own point exactly, so the
+    objective is zero; otherwise the bearings are noisy, weight spreads
+    over wrong pairs and the translation is off.
+    """
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kind = data.draw(st.sampled_from(["taylor", "generic", "near_pi"]))
+    stationary = data.draw(st.booleans())
+    sparse = data.draw(st.booleans())
+    m = data.draw(st.integers(3, 30))
+    n = data.draw(st.integers(3, 30))
+    angle = {"taylor": rng.uniform(0.0, 0.99 * np.sqrt(_SMALL_ANGLE_SQ)),
+             "generic": rng.uniform(0.05, 3.0),
+             "near_pi": np.pi - rng.uniform(0.0, 1e-3)}[kind]
+    axis = rng.standard_normal(3)
+    pose = Pose(angle * axis / np.linalg.norm(axis),
+                rng.uniform(-0.5, 0.5, 3) + np.array([0.0, 0.0, 4.5]))
+    points = rng.uniform(-0.5, 0.5, (n, 3))
+    seen = rng.integers(0, n, m)   # the point each bearing sees
+    bearings = exact_bearings(pose, points[seen])
+    P = np.zeros((m, n))
+    P[np.arange(m), seen] = rng.uniform(0.5, 1.0, m)
+    if not stationary:
+        bearings += 0.05 * rng.standard_normal((m, 3))
+        bearings /= np.linalg.norm(bearings, axis=1, keepdims=True)
+        P += rng.uniform(0.0, 0.3, (m, n)) * (rng.uniform(size=(m, n)) < 0.5)
+    idle = rng.uniform(size=n) < 0.3
+    idle[seen[0]] = False
+    P[:, idle] = 0.0
+    P /= P.sum()
+    if sparse:
+        pairs = np.argwhere((P > 0) | idle[None, :])
+        rng.shuffle(pairs)
+        weights = SparseWeights(pairs=pairs, values=P[pairs[:, 0], pairs[:, 1]])
+    else:
+        weights = P
+    x = pose.as_vector()
+    if not stationary:
+        x[3:] += 0.1 * rng.standard_normal(3)
+    problem = PnPProblem(bearings=bearings, points=points, weights=weights,
+                         init=pose)
+    return problem, x, kind, stationary
+
+
+class TestClosedFormHessian:
+    @settings(deadline=None, derandomize=True, database=None,
+              max_examples=200)
+    @given(st.data())
+    def test_matches_complex_step(self, data):
+        problem, x, kind, stationary = drawn_hessian_case(data)
+        w, s = _collapse_weights(problem)
+        active = active_points(w, s)
+        _, g = _value_and_gradient(w, s, problem.points, x, active)
+        assert (np.linalg.norm(g) <= 1e-12) == stationary
+        if kind == "taylor":
+            assert x[:3] @ x[:3] < _SMALL_ANGLE_SQ
+        want = reference_hessian(w, s, problem.points, x, active)
+        got = _hessian(w, s, problem.points, x, active)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        np.testing.assert_array_equal(got, got.T)
+
+    def test_idle_point_at_camera_center_ignored(self):
+        # point 0 carries no weight and sits exactly at the camera center
+        points = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 2.0],
+                           [0.0, 0.2, 3.0], [-0.3, 0.1, 2.5]])
+        bearings = points[1:] / np.linalg.norm(points[1:], axis=1)[:, None]
+        P = np.zeros((3, 4))
+        P[[0, 1, 2], [1, 2, 3]] = 1.0 / 3.0
+        w, s = _collapse_weights(PnPProblem(bearings, points, P,
+                                            Pose.identity()))
+        active = active_points(w, s)
+        assert not active[0]
+        x = np.array([0.01, -0.02, 0.03, 0.05, 0.0, 0.0])
+        want = reference_hessian(w, s, points, x, active)
+        got = _hessian(w, s, points, x, active)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_weighted_point_at_camera_center_raises(self):
+        points = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        bearings = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        P = np.array([[0.5, 0.0], [0.0, 0.5]])
+        w, s = _collapse_weights(PnPProblem(bearings, points, P,
+                                            Pose.identity()))
+        with pytest.raises(NumericalError):
+            _hessian(w, s, points, np.zeros(6), active_points(w, s))
+
+
 class TestVJP:
     def test_zero_gradient_zero_output(self, rng):
         problem, _ = concentrated_problem(rng)
@@ -322,6 +483,38 @@ class TestVJP:
         dense_out = pnp_vjp(problem, sol_d, g)
         sparse_out = pnp_vjp(sparse, sol_s, g)
         np.testing.assert_allclose(sparse_out, dense_out.ravel(), atol=1e-10)
+
+    @pytest.mark.parametrize("m, n", [(10, 10), (14, 9), (20, 12)])
+    def test_dense_sparse_and_reference_agree(self, rng, m, n):
+        problem, _ = concentrated_problem(rng, m=m, n=n)
+        solution = pnp_solve(problem, TIGHT)
+        assert solution.converged
+        pairs = all_pairs(m, n)
+        rng.shuffle(pairs)
+        P = np.asarray(problem.weights)
+        sparse = PnPProblem(bearings=problem.bearings, points=problem.points,
+                            weights=SparseWeights(
+                                pairs=pairs, values=P[pairs[:, 0], pairs[:, 1]]),
+                            init=problem.init)
+        g = rng.standard_normal(6)
+        dense_out = pnp_vjp(problem, solution, g)
+        sparse_out = pnp_vjp(sparse, solution, g)
+        assert dense_out.shape == (m, n)
+        # on the same H, the rank-3 product and the dense formula agree
+        # to rounding
+        same_h = reference_vjp(problem, solution, g, hessian=_hessian)
+        scale = np.max(np.abs(same_h))
+        assert np.max(np.abs(dense_out - same_h)) <= 1e-12 * scale
+        # H from the complex step, or from the sparse collapse, differs
+        # from it by rounding, which inv(H) amplifies by cond(H)
+        w, s = _collapse_weights(problem)
+        cond = np.linalg.cond(_hessian(w, s, problem.points,
+                                       solution.pose.as_vector(),
+                                       active_points(w, s)))
+        want = reference_vjp(problem, solution, g)
+        assert np.max(np.abs(dense_out - want)) <= 1e-14 * cond * scale
+        assert np.max(np.abs(sparse_out - dense_out[pairs[:, 0], pairs[:, 1]])) \
+            <= 1e-14 * cond * scale
 
     def test_unconverged_solution_rejected(self, rng):
         problem, pose = concentrated_problem(rng)
