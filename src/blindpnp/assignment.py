@@ -20,6 +20,7 @@ from .geometry import Pose, ray_angles, transform_points
 # any angle (at most pi), so a matching that can avoid a sentinel will.
 _SENTINEL_COST = 1e6
 _TIE_CHUNK = 65536  # plan entries scanned at a time for tied top-k entries
+_SAMPLE_STRIDE = 64  # spacing of the entries sampled for a top-k threshold
 
 
 def hungarian(cost) -> np.ndarray:
@@ -98,15 +99,20 @@ def top_k_select(P, k: int):
     Ties are broken by ascending (row, column) so runs are reproducible.
     Returns (rows, cols, values) arrays of length k.
 
-    The k-th largest value comes from an in-place partition of one
-    negated copy of P.  Only the fewer than k entries strictly above it
-    are sorted; the rest are the first entries equal to it in flat
-    order, which is ascending (row, column), so a large tie pool (the
-    off-diagonal entries of a sharp plan) is never sorted.  They are
-    taken by scanning the plan in chunks of _TIE_CHUNK entries until
-    enough are found.  O(mn) time; the extra memory is one float copy
-    of P, freed before the index passes, then a one-byte mask of P for
-    the entries above the k-th, plus O(k + _TIE_CHUNK).
+    A threshold t is the (2 (k // 64) + 16)-th largest of every 64th
+    entry of P, if that sample holds four times as many (Floyd and
+    Rivest's SELECT).  One pass over P, in chunks of _TIE_CHUNK entries,
+    checks finiteness and lists the entries above t (about 2k + 1000 on
+    a generic plan); only those are partitioned for the k-th largest
+    value.  The fewer than k entries strictly above it are sorted; the
+    rest are the first entries equal to it in flat order, which is
+    ascending (row, column), taken by scanning the plan in chunks until
+    enough are found, so a large tie pool (the off-diagonal entries of
+    a sharp plan) is never sorted.  If t lies above the k-th value (top
+    entries crowd the sample's stride), the steps rerun with all of P as
+    the sample, whose k-th largest is exact.  O(mn) time.  The sampled
+    path copies only the sample (1/8 byte per entry), plus O(k +
+    _TIE_CHUNK); the rerun adds one float copy, freed before the pass.
     """
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2:
@@ -114,22 +120,38 @@ def top_k_select(P, k: int):
     m, n = P.shape
     if not (1 <= k <= m * n):
         raise ValidationError(f"k must lie in [1, {m * n}], got {k}")
-    if not np.all(np.isfinite(P)):
-        raise ValidationError("P has non-finite entries")
     flat = P.ravel()
-    neg = np.negative(flat)
-    neg.partition(k - 1)
-    kth = -neg[k - 1]
-    del neg  # free the copy before the index passes below
-    above = np.flatnonzero(flat > kth)
-    chosen = [above[np.lexsort((above, -flat[above]))]]
-    need = k - above.size
-    for start in range(0, flat.size, _TIE_CHUNK):
-        if need == 0:
+    for stride in (_SAMPLE_STRIDE, 1):
+        sample = flat[::stride]
+        rank = 2 * (k // stride) + 16 if stride > 1 else k
+        if stride > 1 and sample.size < 4 * rank:
+            continue
+        neg = np.negative(sample)
+        neg.partition(rank - 1)
+        t = -neg[rank - 1]
+        del neg  # free the copy before the pass below
+        above = []
+        for start in range(0, flat.size, _TIE_CHUNK):
+            chunk = flat[start:start + _TIE_CHUNK]
+            if not np.all(np.isfinite(chunk)):
+                raise ValidationError("P has non-finite entries")
+            above.append(np.flatnonzero(chunk > t) + start)
+        above = np.concatenate(above)
+        values = flat[above]
+        kth = t
+        if above.size >= k:
+            kth = -np.partition(-values, k - 1)[k - 1]
+            above, values = above[values > kth], values[values > kth]
+        chosen = [above[np.lexsort((above, -values))]]
+        need = k - above.size
+        for start in range(0, flat.size, _TIE_CHUNK):
+            if need == 0:
+                break
+            ties = np.flatnonzero(flat[start:start + _TIE_CHUNK] == kth)[:need]
+            chosen.append(ties + start)
+            need -= ties.size
+        if need == 0:  # else t lies above the k-th value
             break
-        ties = np.flatnonzero(flat[start:start + _TIE_CHUNK] == kth)[:need]
-        chosen.append(ties + start)
-        need -= ties.size
     chosen = np.concatenate(chosen)
     rows, cols = np.divmod(chosen, n)
     return rows.astype(np.int64), cols.astype(np.int64), flat[chosen]

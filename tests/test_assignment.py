@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blindpnp import assignment
-from blindpnp.assignment import (_TIE_CHUNK, candidate_count,
+from blindpnp.assignment import (_SAMPLE_STRIDE, _TIE_CHUNK, candidate_count,
                                  correspondences_from_pose, hungarian,
                                  one_to_one, top_k_select)
 from blindpnp.errors import ValidationError
@@ -345,6 +345,103 @@ class TestTopKSelect:
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak <= 12 * P.size
+
+
+class TestSampledThreshold:
+    """The sampled-threshold path of top_k_select, on plans whose every
+    64th entry holds at least four times the threshold's rank."""
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_lexsort_oracle(self, data):
+        m = data.draw(st.integers(64, 200))
+        n = data.draw(st.integers(64, 200))
+        layout = data.draw(st.sampled_from(
+            ["levels", "sharp", "on_stride", "off_stride"]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        P = stride_layout_plan(rng, m, n, layout, data.draw(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=3)))
+        # the largest k whose threshold rank the sample can hold
+        sample = -(-P.size // _SAMPLE_STRIDE)
+        sampled = _SAMPLE_STRIDE * ((sample // 4 - 16) // 2 + 1) - 1
+        ks = [1, P.size] + data.draw(st.lists(
+            st.integers(1, sampled), min_size=3, max_size=3)) + \
+            data.draw(st.lists(st.integers(1, P.size), min_size=2,
+                               max_size=2))
+        assert_matches_lexsort_oracle(P, ks)
+
+    @pytest.mark.parametrize("layout", ["on_stride", "off_stride", "sharp"])
+    def test_rerun_only_when_top_entries_crowd_the_stride(self, rng, layout):
+        # the stride-1 rerun negates a float copy of P (8 B/entry); the
+        # sampled path copies 1/64 of it and lists the entries above t
+        # and the ties in one _TIE_CHUNK
+        P = stride_layout_plan(rng, 400, 500, layout, [0.5])
+        k = 1000
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        top_k_select(P, k)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        if layout == "on_stride":
+            assert peak >= 8 * P.size
+        else:
+            assert peak <= 4 * P.size
+        assert_matches_lexsort_oracle(P, [k])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [-1, _TIE_CHUNK + 1])
+    def test_non_finite_after_the_last_needed_tie_rejected(self, rng, bad,
+                                                          where):
+        # every entry k needs lies in the first tie-scan chunk, and the
+        # bad entry is off the sample's stride
+        P = stride_layout_plan(rng, 300, 300, "sharp", [])
+        assert where % _SAMPLE_STRIDE and P.size > _TIE_CHUNK + 1
+        P.ravel()[where] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            top_k_select(P, 450)
+
+    @pytest.mark.parametrize("sharpness, cost_noise", [(5.0, 0.0), (1.0, 0.3)])
+    def test_peak_memory_below_one_byte_per_entry(self, sharpness,
+                                                  cost_noise):
+        inst = generate_instance(SynthConfig(n_points=1000, seed=0))
+        P = sinkhorn_forward(oracle_cost(inst, sharpness, cost_noise),
+                             mu=0.1).P
+        k = candidate_count(*P.shape)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        top_k_select(P, k)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= P.size
+
+
+def stride_layout_plan(rng, m, n, layout, levels):
+    """An m x n plan with one of four layouts:
+    levels     each entry one of `levels`, so ties decide the order;
+    sharp      one entry 1/n per row at a random column, the rest 1e-20;
+    on_stride  the entries at flat positions on the sample's stride
+               high and distinct, the rest low, so the sampled
+               threshold lies above the k-th value for most k;
+    off_stride a random twentieth of the off-stride entries high, at
+               three tied levels, none on the stride, so the sample
+               sees only low values."""
+    if layout == "levels":
+        return np.asarray(levels)[rng.integers(0, len(levels), (m, n))]
+    if layout == "sharp":
+        P = np.full((m, n), 1e-20)
+        P[np.arange(m), rng.integers(0, n, m)] = 1.0 / n
+        return P
+    P = rng.uniform(0.0, 0.1, (m, n))
+    flat = P.ravel()
+    on = np.arange(flat.size) % _SAMPLE_STRIDE == 0
+    if layout == "on_stride":
+        flat[on] = rng.uniform(1.0, 2.0, np.count_nonzero(on))
+    else:
+        off = np.flatnonzero(~on)
+        high = rng.choice(off, off.size // 20, replace=False)
+        flat[high] = 1.0 + rng.integers(0, 3, high.size) / 4.0
+    return P
 
 
 def assert_matches_lexsort_oracle(P, ks):

@@ -19,7 +19,8 @@ from blindpnp.errors import ValidationError
 from blindpnp.losses import correspondence_loss, pose_loss
 from blindpnp.pipeline import PipelineConfig, backward, solve
 from blindpnp.synth import SynthConfig, generate_instance, oracle_cost
-from blindpnp.transport import (_ABSORB_MAX, TransportPlan, _exp_plan,
+from blindpnp.transport import (_ABSORB_MAX, _EPILOGUE_BYTES, TransportPlan,
+                                _exp_plan, _exp_plan_and_sums,
                                 _logsumexp_rows, sinkhorn_forward, sinkhorn_vjp,
                                 transport_cost, uniform_priors)
 
@@ -218,6 +219,14 @@ class TestForward:
             sinkhorn_forward(np.ones((2, 2)), row_prior=[0.5, 0.5],
                              col_prior=[0.9, 0.3], mu=0.1)
 
+    @pytest.mark.parametrize("side", ["row", "col"])
+    def test_nan_prior_rejected(self, side):
+        # NaN passed both the positivity and the sum test
+        priors = {"row_prior": [0.25] * 4, "col_prior": [0.25] * 4}
+        priors[f"{side}_prior"] = [np.nan, 0.5, 0.25, 0.25]
+        with pytest.raises(ValidationError, match="positive"):
+            sinkhorn_forward(np.ones((4, 4)), mu=0.1, **priors)
+
     def test_peak_memory_is_log_kernel_plus_plan(self):
         # -M/mu and the plan; the unfused exponential took 24 B/entry
         inst = generate_instance(SynthConfig(n_points=1000, seed=0))
@@ -245,6 +254,53 @@ class TestForward:
             got = _exp_plan(logK0, phi, psi)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+class TestBlockedEpilogue:
+    """The final plan and its marginals, formed _EPILOGUE_BYTES of rows
+    at a time, against the whole-plan expressions they replaced."""
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_same_bits_as_whole_plan_sums(self, data):
+        row = _EPILOGUE_BYTES // 8  # one block's entries
+        n = data.draw(st.one_of(st.integers(2, 700),
+                                st.integers(row - 2, row + 3000), st.just(1)))
+        step = max(1, row // n)  # rows per block
+        m = data.draw(st.one_of(st.integers(step + 1, 4 * step - 1),
+                                st.just(1), st.just(2 * step)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        scale = data.draw(st.sampled_from([1.0, 30.0, 400.0]))
+        logK0 = rng.normal(-3.0, scale, (m, n))
+        if data.draw(st.booleans()):
+            logK0 = np.asfortranarray(logK0)
+        phi = rng.normal(0.0, scale, m)
+        psi = rng.normal(0.0, scale, n)
+        with np.errstate(over="ignore"):
+            want = _exp_plan(logK0.copy(order="K"), phi, psi)
+            got, rows, cols = _exp_plan_and_sums(logK0, phi, psi)
+        assert got is logK0
+        for g, w in [(got, want), (rows, want.sum(axis=1)),
+                     (cols, want.sum(axis=0))]:
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("shape", [(500, 500), (1, 300), (300, 1),
+                                       (70000, 3), (4, 140000)])
+    def test_forward_same_bits_as_plain_loop(self, shape):
+        # several blocks, a partial last block, one row, one column, and
+        # rows wider than a block
+        if shape == (500, 500):
+            inst = generate_instance(SynthConfig(n_points=500, seed=1))
+            M = oracle_cost(inst, 5.0, noise_sigma=0.1, seed=1)
+        else:
+            M = np.random.default_rng(3).uniform(0.0, 0.1, shape)
+        want = reference_sinkhorn(M, 0.1)
+        assert want.iterations < 30
+        got = sinkhorn_forward(M, mu=0.1)
+        assert got.iterations == want.iterations
+        assert got.P.tobytes() == want.P.tobytes()
+        assert got.residual == want.residual
 
 
 class TestOverRelaxation:
@@ -342,6 +398,21 @@ class TestBackward:
     def test_degenerate_plan_rejected(self):
         P = np.array([[0.5, 0.0], [0.0, 0.5]])
         with pytest.raises(ValidationError):
+            sinkhorn_vjp(None, P, 0.1, np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grad_rejected(self, rng, bad):
+        # used to surface as a CG NumericalError at residual nan
+        plan = sinkhorn_forward(rng.uniform(0, 1, (3, 4)), mu=0.1)
+        G = rng.standard_normal((3, 4))
+        G[1, 2] = bad
+        with pytest.raises(ValidationError, match="grad_P"):
+            sinkhorn_vjp(None, plan, 0.1, G)
+
+    def test_nan_in_bare_plan_rejected(self):
+        P = np.full((2, 2), 0.25)
+        P[0, 1] = np.nan
+        with pytest.raises(ValidationError, match="positive"):
             sinkhorn_vjp(None, P, 0.1, np.ones((2, 2)))
 
     def test_infeasible_plan_rejected(self, rng):
