@@ -7,10 +7,9 @@ __version__ = "0.1.0"
 from .errors import (BlindPnpError, DegenerateGeometryError,
                      InstanceFormatError, NumericalError,
                      SingularHessianError, StageError, ValidationError)
-from .geometry import (Pose, angle_between, angular_reprojection_error,
-                       bearing_from_pixel, exp_so3, geodesic_rotation_angle,
-                       inlier_objective, log_so3, make_intrinsics,
-                       rotation_error, translation_error)
+from .geometry import (Pose, angular_reprojection_error, exp_so3,
+                       geodesic_rotation_angle, inlier_objective, log_so3,
+                       make_intrinsics, translation_error)
 from .assignment import (correspondences_from_pose, hungarian, one_to_one,
                          top_k_select)
 from .transport import TransportPlan, sinkhorn_forward, sinkhorn_vjp
@@ -32,9 +31,9 @@ __all__ = [
     "NumericalError", "SingularHessianError", "InstanceFormatError",
     "StageError",
     # geometry
-    "Pose", "exp_so3", "log_so3", "bearing_from_pixel", "make_intrinsics",
-    "angle_between", "angular_reprojection_error", "inlier_objective",
-    "rotation_error", "geodesic_rotation_angle", "translation_error",
+    "Pose", "exp_so3", "log_so3", "make_intrinsics",
+    "angular_reprojection_error", "inlier_objective",
+    "geodesic_rotation_angle", "translation_error",
     # assignment
     "hungarian", "one_to_one", "correspondences_from_pose", "top_k_select",
     # transport

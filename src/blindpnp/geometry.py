@@ -220,14 +220,6 @@ def canonicalize_angle_axis(r) -> np.ndarray:
     return r * (reduced / theta)
 
 
-def bearing_from_pixel(u: float, v: float, K) -> np.ndarray:
-    """Unit bearing vector of an image point: normalize(inv(K) @ [u, v, 1])."""
-    K = validate_intrinsics(K)
-    ray = np.linalg.solve(K, np.array([u, v, 1.0]))
-    n = np.linalg.norm(ray)
-    return ray / n
-
-
 def pixels_to_bearings(uv, K) -> np.ndarray:
     """Vectorized bearing construction for an (m, 2) array of pixels."""
     K = validate_intrinsics(K)
@@ -259,17 +251,6 @@ def validate_intrinsics(K) -> np.ndarray:
 def make_intrinsics(focal: float, cx: float, cy: float) -> np.ndarray:
     """Square-pixel, zero-skew camera matrix."""
     return np.array([[focal, 0.0, cx], [0.0, focal, cy], [0.0, 0.0, 1.0]])
-
-
-def angle_between(x, y) -> float:
-    """Angle in [0, pi] between two nonzero vectors (clamped arccos)."""
-    x = _as_vec3(x, "x")
-    y = _as_vec3(y, "y")
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(y)
-    if nx == 0.0 or ny == 0.0:
-        raise ValidationError("angle_between requires nonzero vectors")
-    return float(clamped_arccos((x @ y) / (nx * ny)))
 
 
 def transform_points(pose: Pose, points) -> np.ndarray:
@@ -353,42 +334,18 @@ def validate_one_to_one(pairs) -> np.ndarray:
     return p
 
 
-def angular_reprojection_error(bearings, points, correspondence, pose: Pose,
-                               normalize: str = "product") -> float:
-    """Weighted mean angular error between bearings and transformed points.
-
-    `correspondence` is either a dense (m, n) nonnegative weight matrix or
-    a (k, 2) index pair list (treated as unit weights).  With
-    ``normalize="product"`` the sum is divided by m*n; with
-    ``normalize="matches"`` it is divided by the total weight, which is
-    the per-match average used for evaluation reports.
+def angular_reprojection_error(bearings, points, pairs, pose: Pose) -> float:
+    """Mean angular error (radians) over a (k, 2) list of (bearing, point)
+    pairs at `pose`: the per-match average used for evaluation reports.
+    The angle is the clamped arccos of `ray_angles`; an empty list gives 0.
     """
-    if normalize not in ("product", "matches"):
-        raise ValidationError(f"unknown normalization '{normalize}'")
+    p = _pairs_array(pairs)
+    if p.shape[0] == 0:
+        return 0.0
     f = np.asarray(bearings, dtype=np.float64)
-    pts = np.asarray(points, dtype=np.float64)
-    m, n = f.shape[0], pts.shape[0]
-    q = transform_points(pose, pts)
-
-    corr = np.asarray(correspondence)
-    if corr.ndim == 2 and corr.shape == (m, n) and corr.dtype != np.int64:
-        weights = np.asarray(corr, dtype=np.float64)
-        if np.any(weights < 0):
-            raise ValidationError("correspondence weights must be nonnegative")
-        angles = ray_angles(f, q, pairwise=True)
-        total = float(np.sum(weights * angles))
-        wsum = float(weights.sum())
-    else:
-        pairs = _pairs_array(correspondence)
-        if pairs.shape[0] == 0:
-            return 0.0
-        angles = ray_angles(f[pairs[:, 0]], q[pairs[:, 1]])
-        total = float(angles.sum())
-        wsum = float(pairs.shape[0])
-
-    if normalize == "matches":
-        return total / wsum if wsum > 0 else 0.0
-    return total / float(m * n)
+    q = transform_points(pose, np.asarray(points, dtype=np.float64))
+    angles = ray_angles(f[p[:, 0]], q[p[:, 1]])
+    return float(angles.sum()) / float(p.shape[0])
 
 
 def inlier_objective(bearings, points, pairs, pose: Pose, theta: float) -> int:
@@ -407,18 +364,6 @@ def inlier_objective(bearings, points, pairs, pose: Pose, theta: float) -> int:
     q = transform_points(pose, np.asarray(points, dtype=np.float64))[p[:, 1]]
     inlier = ray_angles(f, q, exact=True) <= theta
     return int(2 * inlier.sum() - p.shape[0])
-
-
-def rotation_error(R, R_gt) -> float:
-    """Angle of the relative rotation, through the clamped arccos.
-
-    This is the loss-style measure: its value floors at about 4.5e-4 rad
-    because the arccos argument is clamped.  Use geodesic_rotation_angle
-    when exact small angles matter.
-    """
-    R = validate_rotation_matrix(R)
-    R_gt = validate_rotation_matrix(R_gt)
-    return float(clamped_arccos(0.5 * (np.trace(R_gt.T @ R) - 1.0)))
 
 
 def geodesic_rotation_angle(R, R_gt) -> float:

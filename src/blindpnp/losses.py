@@ -55,26 +55,22 @@ def inlier_sign_matrix(bearings, points, gt_pose: Pose, theta: float,
 
 
 def correspondence_loss(P, bearings, points, gt_pose: Pose, theta: float,
-                        gt_pairs=None, use_reprojection: bool = False):
+                        gt_pairs=None):
     """Correspondence loss and its exact derivative with respect to P.
 
-    Default form: sum_ij P_ij * (1 - 2 * [pair (i, j) is an inlier]),
-    bounded in [-1, 1) for any strictly positive P that sums to one and
-    has at least one inlier pair.  With ``use_reprojection=True`` the
-    (less robust) probability-weighted mean angular error at the true
-    pose is used instead.
+    sum_ij P_ij * (1 - 2 * [pair (i, j) is an inlier]), bounded in
+    [-1, 1) for any strictly positive P that sums to one and has at least
+    one inlier pair.  The derivative is the sign matrix itself.  A P
+    whose total is not within 1e-6 of one, NaN included, is rejected.
     """
     P = np.asarray(P, dtype=np.float64)
-    m, n = P.shape
     total = P.sum()
-    if abs(total - 1.0) > 1e-6:
+    # written so that a NaN total fails it
+    if not abs(total - 1.0) <= 1e-6:
         raise ValidationError(f"P must sum to 1 (got {total})")
-    if use_reprojection:
-        angles = ray_angles(bearings, transform_points(gt_pose, points),
-                            pairwise=True)
-        grad = angles / (m * n)
-        return float(np.sum(P * grad)), grad
     sign = inlier_sign_matrix(bearings, points, gt_pose, theta, gt_pairs)
+    if P.shape != sign.shape:
+        raise ValidationError(f"P must have shape {sign.shape}, got {P.shape}")
     return float(np.sum(P * sign)), sign
 
 

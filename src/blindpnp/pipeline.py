@@ -176,6 +176,7 @@ def alternation_baseline(instance: PointSets, init: Pose, theta: float,
     pose = init
     prev_pairs = None
     started = time.perf_counter()
+    round_no = 0   # the rounds that ran, when the loop ends without a return
     for round_no in range(1, max_rounds + 1):
         pairs = correspondences_from_pose(instance.bearings, instance.points,
                                           pose, theta)
@@ -199,7 +200,7 @@ def alternation_baseline(instance: PointSets, init: Pose, theta: float,
         pose = pnp_solve(problem, solver).pose
         if time_limit is not None and time.perf_counter() - started > time_limit:
             break
-    return AlternationResult(pose=pose, rounds=max_rounds, stalled=False,
+    return AlternationResult(pose=pose, rounds=round_no, stalled=False,
                              correspondences=prev_pairs if prev_pairs is not None
                              else np.zeros((0, 2), dtype=np.int64))
 
@@ -226,8 +227,7 @@ def pose_errors(pose: Pose, instance: PointSets) -> dict:
     trans = translation_error(pose.t, instance.gt_pose.t)
     if instance.gt_pairs is not None and instance.gt_pairs.size:
         reproj = angular_reprojection_error(
-            instance.bearings, instance.points, instance.gt_pairs, pose,
-            normalize="matches")
+            instance.bearings, instance.points, instance.gt_pairs, pose)
     else:
         reproj = float("nan")
     return {"rotation_deg": float(np.degrees(rot)),

@@ -14,17 +14,22 @@ weight.
 Backward: at a stationary point, the derivative of the pose with
 respect to the weights is -inv(H) B, where H is the 6x6 pose Hessian
 and column (i, j) of B is the pose gradient of that pair's residual.
-The vector-Jacobian product contracts an upstream pose gradient against
-B without forming B: the entry of pair (i, j) is f_i . C_j with one
-3-vector C_j per point, so the dense product is the rank-3 F C'.
+One rank-3 factor gives both: for any 6-vector z, the pair products
+B z are -f_i . C_j with one 3-vector C_j per point.  The
+vector-Jacobian product takes z = inv(H) dL/dx (the dense product is
+F C'); `pnp_second_order` forms B from z = e_k.  One camera-center
+rule holds throughout: a point whose direction is used must not lie at
+the camera center, and any other point is ignored.  The forward uses
+the points with weight, the backward those that some listed pair
+refers to (every point for dense weights).
 
-The gradient, H and all B columns are closed-form.  H takes one
-vectorized pass over the points (a few (n x 6) and (n x 9) matrix
-products); only the second derivatives of the 3x3 rotation come from a
-complex step (step 1e-20, exact to machine precision), at a cost
-independent of n.  All three are checked against real central finite
-differences in the test suite, and H against the complex step of the
-whole gradient that it replaced.
+The gradient, H and B are closed-form.  H takes one vectorized pass
+over the points (a few (n x 6) and (n x 9) matrix products); only the
+second derivatives of the 3x3 rotation come from a complex step (step
+1e-20, exact to machine precision), at a cost independent of n.  All
+three are checked against real central finite differences in the test
+suite, and H against the complex step of the whole gradient that it
+replaced.
 """
 
 from __future__ import annotations
@@ -60,9 +65,6 @@ class SparseWeights:
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "values", values)
 
-    def total(self) -> float:
-        return float(self.values.sum())
-
 
 @dataclass(frozen=True)
 class PnPProblem:
@@ -90,19 +92,10 @@ class PnPProblem:
     def shape(self):
         return self.bearings.shape[0], self.points.shape[0]
 
-    def weight_sum(self) -> float:
-        if isinstance(self.weights, SparseWeights):
-            return self.weights.total()
-        return float(self.weights.sum())
-
-    def validate(self, check_normalization: bool = True) -> None:
-        _check_entries(self)
-        _check_total(self.weight_sum(), check_normalization)
-
 
 def _check_entries(problem: PnPProblem) -> None:
-    """Everything `validate` checks but the weight total: finite unit
-    bearings, finite points, in-range pairs and nonnegative weights."""
+    """Finite unit bearings, finite points, in-range pairs and
+    nonnegative weights; `_check_total` checks the weight total."""
     # a NaN norm fails the <= test
     if not np.all(np.abs(np.linalg.norm(problem.bearings, axis=1) - 1.0)
                   <= 1e-9):
@@ -156,7 +149,8 @@ class SecondOrderData:
 
 
 def _collapse_weights(problem: PnPProblem):
-    """Per-point aggregates (w_j, s_j) that fully determine the objective."""
+    """Per-point aggregates (w_j, s_j) that fully determine the objective,
+    and the mask of active points, those with any weight."""
     m, n = problem.shape
     if isinstance(problem.weights, SparseWeights):
         pairs, values = problem.weights.pairs, problem.weights.values
@@ -170,41 +164,40 @@ def _collapse_weights(problem: PnPProblem):
         w = P.sum(axis=0)
         # not P.T @ bearings: BLAS would pack a transposed copy of P
         s = (problem.bearings.T @ P).T
-    return w, s
+    return w, s, (w > 0) | (np.abs(s).sum(axis=1) > 0)
 
 
-def _point_terms(points, r, t):
-    """Transformed points, their norms, and unit directions (complex-safe)."""
-    R, dR = so3_exp_and_derivatives(r)
-    q = points @ R.T + t
+def _directions(points, x, used):
+    """dR/dr_k, unit directions u_j and norms |q_j| of q_j = R(r) p_j + t.
+
+    Raises if a `used` point lies at the camera center, where its
+    direction is undefined; every other point gets |q_j| = 1, so nothing
+    divides by zero.  Complex-safe: norms avoid abs(), the comparison
+    uses real parts.
+    """
+    R, dR = so3_exp_and_derivatives(x[:3])
+    q = points @ R.T + x[3:]
     nq = np.sqrt(np.sum(q * q, axis=1))
-    return R, dR, q, nq
-
-
-def _check_camera_center(nq, active) -> None:
-    if np.any(np.real(nq[active]) <= 1e-12):
-        j = int(np.flatnonzero(active & (np.real(nq) <= 1e-12))[0])
+    center = used & (np.real(nq) <= 1e-12)
+    if np.any(center):
         raise NumericalError(
-            f"transformed point {j} lies at the camera center; the weighted "
-            "alignment objective is singular there")
+            f"transformed point {int(np.flatnonzero(center)[0])} lies at the "
+            "camera center; the weighted alignment objective is singular there")
+    nq = np.where(used, nq, 1.0)
+    return dR, q / nq[:, None], nq
 
 
 def _value_and_gradient(w, s, points, x, active):
     """Objective and 6-vector gradient at pose x = (r, t).
 
     `active` marks points with any weight; only those contribute (and
-    only those are checked against the camera center).  Complex-safe:
-    norms avoid abs(), comparisons use real parts.
+    only those are checked against the camera center).  Complex-safe.
     """
-    r, t = x[:3], x[3:]
-    R, dR, q, nq = _point_terms(points, r, t)
-    _check_camera_center(nq, active)
-    safe_nq = np.where(active, nq, 1.0)
-    u = q / safe_nq[:, None]
+    dR, u, nq = _directions(points, x, active)
     su = np.sum(s * u, axis=1)
     value = np.sum(w[active]) - np.sum(su[active])
     # d(value)/dq_j = -(s_j - (s_j . u_j) u_j) / ||q_j||
-    gq = -(s - su[:, None] * u) / safe_nq[:, None]
+    gq = -(s - su[:, None] * u) / nq[:, None]
     gq = np.where(active[:, None], gq, 0.0)
     grad_t = gq.sum(axis=0)
     # dq_j/dr_k = dR[k] @ p_j
@@ -218,8 +211,7 @@ def pnp_objective(problem: PnPProblem, pose: Pose):
     The value is nonnegative by Cauchy-Schwarz; rounding can leave it a
     few ulps below zero at perfect alignment, so it is floored at 0.
     """
-    w, s = _collapse_weights(problem)
-    active = (w > 0) | (np.abs(s).sum(axis=1) > 0)
+    w, s, active = _collapse_weights(problem)
     x = pose.as_vector()
     value, grad = _value_and_gradient(w, s, problem.points, x, active)
     return max(float(value), 0.0), grad
@@ -265,12 +257,10 @@ def pnp_solve(problem: PnPProblem, config: PnPSolverConfig | None = None,
     they would shrink |g| forever); `iterations` counts the damped ones.
     """
     config = config or PnPSolverConfig()
-    # `validate`, with the total taken from the column sums: one pass
-    # over dense weights fewer
+    # the total comes from the column sums: no extra pass over dense weights
     _check_entries(problem)
-    w, s = _collapse_weights(problem)
+    w, s, active = _collapse_weights(problem)
     _check_total(float(w.sum()), check_normalization)
-    active = (w > 0) | (np.abs(s).sum(axis=1) > 0)
     points = problem.points
     x = np.concatenate([canonicalize_angle_axis(problem.init.r),
                         problem.init.t])
@@ -326,14 +316,10 @@ def _hessian(w, s, points, x, active) -> np.ndarray:
     matrix product.  d2R[k, l] = d(dR[k])/dr_l is a complex step of
     `so3_exp_and_derivatives` in each rotation direction.
     """
-    r = x[:3]
-    _, dR, q, nq = _point_terms(points, r, x[3:])
-    _check_camera_center(nq, active)
+    dR, u, nq = _directions(points, x, active)
     # inactive points have s_j = 0, so every term below vanishes for them
-    safe_nq = np.where(active, nq, 1.0)
-    u = q / safe_nq[:, None]
     sigma = np.sum(s * u, axis=1)
-    c = 1.0 / safe_nq**2
+    c = 1.0 / nq**2
     d = sigma * c
     D = points @ dR.reshape(9, 3).T       # D[j, 3k + a] = (dR[k] p_j)_a
     D3 = D.reshape(-1, 3, 3)
@@ -350,60 +336,59 @@ def _hessian(w, s, points, x, active) -> np.ndarray:
     H[3:, :3] += cross.T
     H[3:, 3:] += np.sum(d) * np.eye(3)
     # rotation term, with the q-gradients of `_value_and_gradient`
-    G = ((sigma[:, None] * u - s) / safe_nq[:, None]).T @ points
+    G = ((sigma[:, None] * u - s) / nq[:, None]).T @ points
     d2R = np.empty((3, 3, 3, 3))
     for l in range(3):
-        rc = r.astype(np.complex128)
+        rc = x[:3].astype(np.complex128)
         rc[l] += 1j * _CS_STEP
         d2R[:, l] = so3_exp_and_derivatives(rc)[1].imag / _CS_STEP
     H[:3, :3] += (d2R.reshape(9, 9) @ G.ravel()).reshape(3, 3)
     return 0.5 * (H + H.T)
 
 
-def _pair_gradients(problem: PnPProblem, pose: Pose, pairs: np.ndarray):
-    """Pose gradient of each pair's unit-weight residual: rows of B."""
-    r, t = pose.r, pose.t
-    R, dR, q, nq = _point_terms(problem.points, r, t)
-    if np.any(nq <= 1e-12):
-        raise NumericalError("transformed point at the camera center")
-    u = q / nq[:, None]
-    f = problem.bearings[pairs[:, 0]]
-    uj = u[pairs[:, 1]]
-    nj = nq[pairs[:, 1]]
-    # d(1 - f.u)/dq at unit weight
-    gq = -(f - np.sum(f * uj, axis=1)[:, None] * uj) / nj[:, None]
-    # J_r(p_j)[:, k] = dR[k] @ p_j  ->  contract with gq
-    pj = problem.points[pairs[:, 1]]
-    grad_r = np.einsum("pa,kab,pb->pk", gq, dR, pj)
-    return np.hstack([grad_r, gq])
+def _pair_products(problem: PnPProblem, x, z):
+    """f_i . C_j = -g_ij . z for every pair, from one 3-vector C_j per point.
 
-
-def _all_pairs(problem: PnPProblem) -> np.ndarray:
-    if isinstance(problem.weights, SparseWeights):
-        return problem.weights.pairs
-    m, n = problem.shape
-    ii, jj = np.meshgrid(np.arange(m), np.arange(n), indexing="ij")
-    return np.stack([ii.ravel(), jj.ravel()], axis=1)
+    g_ij is the pose gradient of pair (i, j)'s residual 1 - f_i . u_j,
+    and C_j = (a_j - (u_j . a_j) u_j) / |q_j| with a_j = J_j z =
+    (sum_k z_k dR[k]) p_j + z_t.  Returns the (m, n) product F C' for
+    dense weights, or a (k,) array aligned with the sparse pair list.
+    """
+    weights, points = problem.weights, problem.points
+    sparse = isinstance(weights, SparseWeights)
+    used = (np.bincount(weights.pairs[:, 1], minlength=len(points)) > 0
+            if sparse else np.ones(len(points), dtype=bool))
+    dR, u, nq = _directions(points, x, used)
+    a = points @ np.tensordot(z[:3], dR, axes=1).T + z[3:]
+    C = (a - np.sum(u * a, axis=1)[:, None] * u) / nq[:, None]
+    if sparse:
+        pairs = weights.pairs
+        return np.sum(problem.bearings[pairs[:, 0]] * C[pairs[:, 1]], axis=1)
+    return problem.bearings @ C.T
 
 
 def pnp_second_order(problem: PnPProblem, pose: Pose) -> SecondOrderData:
     """Pose Hessian H and mixed-derivative rows B at a stationary pose.
 
     B rows follow `pairs` order (the sparse pair list, or all m*n pairs
-    row-major for dense weights: intended for small problems).
+    row-major for dense weights: intended for small problems).  Column k
+    of B is minus `_pair_products` at z = e_k, the same factor that
+    `pnp_vjp` contracts.
     """
-    w, s = _collapse_weights(problem)
-    active = (w > 0) | (np.abs(s).sum(axis=1) > 0)
-    pose = pose.canonical()
-    x = pose.as_vector()
+    w, s, active = _collapse_weights(problem)
+    x = pose.canonical().as_vector()
     _, g = _value_and_gradient(w, s, problem.points, x, active)
     gnorm = float(np.linalg.norm(g))
     if gnorm > _STATIONARITY_TOL:
         raise ValidationError(
             f"pose is not stationary: |grad| = {gnorm:.3e} > {_STATIONARITY_TOL:.0e}")
     H = _hessian(w, s, problem.points, x, active)
-    pairs = _all_pairs(problem)
-    B = _pair_gradients(problem, pose, pairs)
+    if isinstance(problem.weights, SparseWeights):
+        pairs = problem.weights.pairs
+    else:
+        pairs = np.indices(problem.shape).reshape(2, -1).T
+    B = -np.stack([_pair_products(problem, x, e).ravel() for e in np.eye(6)],
+                  axis=1)
     cond = float(np.linalg.cond(H))
     return SecondOrderData(H=H, B=B, pairs=pairs, condition_number=cond,
                            singular=not np.isfinite(cond) or cond > _MAX_CONDITION)
@@ -414,34 +399,20 @@ def pnp_vjp(problem: PnPProblem, solution: PnPSolution, grad_pose):
 
     Returns an (m, n) array for dense weights or a (k,) array aligned
     with the sparse pair list.  One 6x6 solve, one O(n) pass over points,
-    and one pass over pairs: the dense output is the rank-3 product F C'.
+    and one pass over pairs: the dense output is the rank-3 product F C'
+    of `_pair_products` at z = inv(H) dL/dx.
     """
     grad_pose = np.asarray(grad_pose, dtype=np.float64).reshape(6)
     if not solution.converged:
         raise ValidationError(
             "solution did not converge; the implicit gradient is undefined "
             f"(gradient norm {solution.gradient_norm:.3e})")
-    w, s = _collapse_weights(problem)
-    active = (w > 0) | (np.abs(s).sum(axis=1) > 0)
-    pose = solution.pose.canonical()
-    x = pose.as_vector()
+    w, s, active = _collapse_weights(problem)
+    x = solution.pose.canonical().as_vector()
     H = _hessian(w, s, problem.points, x, active)
     cond = float(np.linalg.cond(H))
     if not np.isfinite(cond) or cond > _MAX_CONDITION:
         raise SingularHessianError(
             f"pose Hessian condition number {cond:.3e} exceeds {_MAX_CONDITION:.0e}",
             condition_number=cond)
-    z = np.linalg.solve(H, grad_pose)
-
-    R, dR, q, nq = _point_terms(problem.points, pose.r, pose.t)
-    if np.any(nq <= 1e-12):
-        raise NumericalError("transformed point at the camera center")
-    u = q / nq[:, None]
-    # a_j = J_j z = (sum_k z_k dR[k]) p_j + z_t; then dL/dP_ij = -g_ij . a_j
-    # = (f_i . a_j - (f_i . u_j)(u_j . a_j)) / |q_j| = f_i . C_j: rank 3
-    a = problem.points @ np.tensordot(z[:3], dR, axes=1).T + z[3:]
-    C = (a - np.sum(u * a, axis=1)[:, None] * u) / nq[:, None]
-    if isinstance(problem.weights, SparseWeights):
-        pairs = problem.weights.pairs
-        return np.sum(problem.bearings[pairs[:, 0]] * C[pairs[:, 1]], axis=1)
-    return problem.bearings @ C.T
+    return _pair_products(problem, x, np.linalg.solve(H, grad_pose))

@@ -77,19 +77,20 @@ class TestCorrespondenceLoss:
         assert via_pairs == via_theta
         np.testing.assert_array_equal(g1, g2)
 
-    def test_reprojection_variant(self, rng):
-        pose, points, bearings, pairs = gt_setup(rng, n=4)
-        P = np.full((4, 4), 1.0 / 16.0)
-        value, grad = correspondence_loss(P, bearings, points, pose, 1e-3,
-                                          use_reprojection=True)
-        assert value >= 0.0
-        assert grad.shape == (4, 4)
-        assert abs(value - np.sum(P * grad) ) <= 1e-15
-
     def test_unnormalized_p_rejected(self, rng):
         pose, points, bearings, pairs = gt_setup(rng, n=3)
+        with_nan = np.full((3, 3), 1.0 / 9.0)
+        with_nan[1, 2] = np.nan
+        for P in (np.ones((3, 3)), with_nan):
+            with pytest.raises(ValidationError):
+                correspondence_loss(P, bearings, points, pose,
+                                    1e-3, gt_pairs=pairs)
+
+    def test_wrong_shape_rejected(self, rng):
+        # a (n,) row of total one would broadcast against the (m, n) signs
+        pose, points, bearings, pairs = gt_setup(rng, n=3)
         with pytest.raises(ValidationError):
-            correspondence_loss(np.ones((3, 3)), bearings, points, pose,
+            correspondence_loss(np.full(3, 1.0 / 3.0), bearings, points, pose,
                                 1e-3, gt_pairs=pairs)
 
 

@@ -39,16 +39,12 @@ def reference_hessian(w, s, points, x, active):
     return 0.5 * (H + H.T)
 
 
-def active_points(w, s):
-    return (w > 0) | (np.abs(s).sum(axis=1) > 0)
-
-
 def reference_vjp(problem, solution, grad_pose, hessian=reference_hessian):
     """The dense form that `pnp_vjp` replaced: (F a' - (F u') * (u . a)) / |q|,
     two (m x 3) @ (3 x n) products, with a_j = J_j inv(H) grad_pose."""
-    w, s = _collapse_weights(problem)
+    w, s, active = _collapse_weights(problem)
     x = solution.pose.canonical().as_vector()
-    H = hessian(w, s, problem.points, x, active_points(w, s))
+    H = hessian(w, s, problem.points, x, active)
     z = np.linalg.solve(H, grad_pose)
     R, dR = so3_exp_and_derivatives(x[:3])
     q = problem.points @ R.T + x[3:]
@@ -254,8 +250,6 @@ class TestSolve:
         broken = PnPProblem(bearings=bearings, points=points,
                             weights=weights, init=pose)
         with pytest.raises(ValidationError):
-            broken.validate()
-        with pytest.raises(ValidationError):
             pnp_solve(broken)
 
     @pytest.mark.parametrize("check", [True, False])
@@ -317,16 +311,32 @@ class TestSecondOrder:
 
     def test_b_column_of_zero_weight_pair_is_pair_gradient(self, rng):
         # the objective is linear in the weights, so the mixed column of
-        # any pair equals that pair's own unit-weight pose gradient
+        # any pair, weighted or not, equals that pair's own unit-weight
+        # pose gradient; checked for dense and sparse weights, where pair
+        # (2, 4) has weight 0
         problem, pose = concentrated_problem(rng, m=6, n=6)
-        solution = pnp_solve(problem, TIGHT)
-        data = pnp_second_order(problem, solution.pose)
-        i, j = 2, 4
-        single = PnPProblem(bearings=problem.bearings, points=problem.points,
-                            weights=SparseWeights(pairs=[[i, j]], values=[1.0]),
-                            init=pose)
-        _, grad = pnp_objective(single, solution.pose)
-        np.testing.assert_allclose(data.B[i * 6 + j], grad, atol=1e-12)
+        P = np.array(problem.weights)
+        P[2, 4] = 0.0
+        P /= P.sum()
+        pairs = all_pairs(6, 6)
+        rng.shuffle(pairs)
+        sparse = SparseWeights(pairs=pairs, values=P[pairs[:, 0], pairs[:, 1]])
+        for weights, rows in ((P, all_pairs(6, 6)), (sparse, pairs)):
+            problem = PnPProblem(bearings=problem.bearings,
+                                 points=problem.points, weights=weights,
+                                 init=pose)
+            solution = pnp_solve(problem, TIGHT)
+            data = pnp_second_order(problem, solution.pose)
+            np.testing.assert_array_equal(data.pairs, rows)
+            for i, j in [(2, 4), (0, 0), (3, 3), (5, 1)]:
+                single = PnPProblem(bearings=problem.bearings,
+                                    points=problem.points,
+                                    weights=SparseWeights(pairs=[[i, j]],
+                                                          values=[1.0]),
+                                    init=pose)
+                _, grad = pnp_objective(single, solution.pose)
+                row = np.flatnonzero((rows[:, 0] == i) & (rows[:, 1] == j))
+                np.testing.assert_allclose(data.B[row[0]], grad, atol=1e-12)
 
     def test_non_stationary_pose_rejected(self, rng):
         problem, pose = concentrated_problem(rng)
@@ -390,8 +400,7 @@ class TestClosedFormHessian:
     @given(st.data())
     def test_matches_complex_step(self, data):
         problem, x, kind, stationary = drawn_hessian_case(data)
-        w, s = _collapse_weights(problem)
-        active = active_points(w, s)
+        w, s, active = _collapse_weights(problem)
         _, g = _value_and_gradient(w, s, problem.points, x, active)
         assert (np.linalg.norm(g) <= 1e-12) == stationary
         if kind == "taylor":
@@ -408,9 +417,8 @@ class TestClosedFormHessian:
         bearings = points[1:] / np.linalg.norm(points[1:], axis=1)[:, None]
         P = np.zeros((3, 4))
         P[[0, 1, 2], [1, 2, 3]] = 1.0 / 3.0
-        w, s = _collapse_weights(PnPProblem(bearings, points, P,
-                                            Pose.identity()))
-        active = active_points(w, s)
+        w, s, active = _collapse_weights(PnPProblem(bearings, points, P,
+                                                    Pose.identity()))
         assert not active[0]
         x = np.array([0.01, -0.02, 0.03, 0.05, 0.0, 0.0])
         want = reference_hessian(w, s, points, x, active)
@@ -421,10 +429,10 @@ class TestClosedFormHessian:
         points = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
         bearings = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         P = np.array([[0.5, 0.0], [0.0, 0.5]])
-        w, s = _collapse_weights(PnPProblem(bearings, points, P,
-                                            Pose.identity()))
+        w, s, active = _collapse_weights(PnPProblem(bearings, points, P,
+                                                    Pose.identity()))
         with pytest.raises(NumericalError):
-            _hessian(w, s, points, np.zeros(6), active_points(w, s))
+            _hessian(w, s, points, np.zeros(6), active)
 
 
 class TestVJP:
@@ -507,14 +515,62 @@ class TestVJP:
         assert np.max(np.abs(dense_out - same_h)) <= 1e-12 * scale
         # H from the complex step, or from the sparse collapse, differs
         # from it by rounding, which inv(H) amplifies by cond(H)
-        w, s = _collapse_weights(problem)
+        w, s, active = _collapse_weights(problem)
         cond = np.linalg.cond(_hessian(w, s, problem.points,
-                                       solution.pose.as_vector(),
-                                       active_points(w, s)))
+                                       solution.pose.as_vector(), active))
         want = reference_vjp(problem, solution, g)
         assert np.max(np.abs(dense_out - want)) <= 1e-14 * cond * scale
         assert np.max(np.abs(sparse_out - dense_out[pairs[:, 0], pairs[:, 1]])) \
             <= 1e-14 * cond * scale
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_equals_second_order_product(self, rng, sparse):
+        # dL/dP = -B inv(H) dL/dx: the two public backward outputs agree
+        problem, _ = concentrated_problem(rng, m=8, n=7)
+        if sparse:
+            pairs = all_pairs(8, 7)
+            rng.shuffle(pairs)
+            P = np.asarray(problem.weights)
+            problem = PnPProblem(
+                bearings=problem.bearings, points=problem.points,
+                weights=SparseWeights(pairs=pairs,
+                                      values=P[pairs[:, 0], pairs[:, 1]]),
+                init=problem.init)
+        solution = pnp_solve(problem, TIGHT)
+        data = pnp_second_order(problem, solution.pose)
+        g = rng.standard_normal(6)
+        want = -(data.B @ np.linalg.solve(data.H, g))
+        got = pnp_vjp(problem, solution, g)
+        if not sparse:
+            want = want.reshape(8, 7)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_unpaired_point_at_camera_center_ignored(self, rng):
+        # point 9 is in no pair, so the forward ignores it; moving it to
+        # the camera center must not block the backward either
+        pose = random_pose(rng)
+        points = rng.uniform(-0.5, 0.5, (10, 3))
+        bearings = exact_bearings(pose, points[:9])
+        pairs = np.stack([np.arange(9)] * 2, axis=1)
+        weights = SparseWeights(pairs=pairs, values=np.full(9, 1.0 / 9.0))
+        solution = pnp_solve(PnPProblem(bearings, points, weights,
+                                        Pose(pose.r + 0.01, pose.t + 0.01)),
+                             TIGHT)
+        moved = points.copy()
+        moved[9] = -solution.pose.matrix().T @ solution.pose.t
+        problem = PnPProblem(bearings, moved, weights, solution.pose)
+        assert pnp_solve(problem, TIGHT).converged
+        out = pnp_vjp(problem, solution, rng.standard_normal(6))
+        assert out.shape == (9,)
+        assert np.all(np.isfinite(out))
+        assert pnp_second_order(problem, solution.pose).B.shape == (9, 6)
+        # a listed pair on that point has no derivative, even at weight 0
+        listed = PnPProblem(bearings, moved, SparseWeights(
+            pairs=np.vstack([pairs, [[0, 9]]]),
+            values=np.append(weights.values, 0.0)), solution.pose)
+        with pytest.raises(NumericalError):
+            pnp_vjp(listed, solution, rng.standard_normal(6))
 
     def test_unconverged_solution_rejected(self, rng):
         problem, pose = concentrated_problem(rng)
