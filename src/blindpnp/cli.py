@@ -81,7 +81,7 @@ def _pipeline_config(args) -> PipelineConfig:
                             seed=args.ransac_seed),
         solver=PnPSolverConfig(max_iterations=args.refine_iterations,
                                gradient_tolerance=args.refine_tolerance),
-        loss=LossConfig(theta=args.theta, gamma_p=args.gamma_p))
+        loss=LossConfig(theta=args.theta))
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
@@ -101,8 +101,7 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--refine-tolerance", type=float, default=1e-9,
                    help="gradient norm at which the refined pose converges")
     p.add_argument("--theta", type=float, default=0.01,
-                   help="angular inlier threshold for losses and metrics")
-    p.add_argument("--gamma-p", type=float, default=1.0)
+                   help="angular inlier threshold of the alternation baseline")
 
 
 def _add_cost_flags(p: argparse.ArgumentParser) -> None:
@@ -310,13 +309,20 @@ def _benchmark_one(task):
 
 
 def cmd_benchmark(args) -> int:
+    try:
+        thresholds = [float(t) for t in args.thresholds.split(",")]
+    except ValueError:
+        thresholds = [np.nan]
+    if not all(0.0 < t < np.inf for t in thresholds):  # NaN fails it too
+        print(f"error: --thresholds takes positive finite degrees, got "
+              f"{args.thresholds!r}", file=sys.stderr)
+        return _USAGE_EXIT
     files = _collect_instances([args.dataset])
     if not files:
         print(f"error: no instances in dataset {args.dataset!r}",
               file=sys.stderr)
         return _USAGE_EXIT
     os.makedirs(args.out, exist_ok=True)
-    thresholds = [float(t) for t in args.thresholds.split(",")]
 
     tasks = [(path, vars(args) | {"func": None}) for path in files]
     try:

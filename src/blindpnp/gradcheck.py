@@ -57,6 +57,37 @@ class CheckResult:
                 f" (tol {self.tolerance:.0e}, {self.cases} cases{extra})")
 
 
+def _central(f, x, index, step):
+    """Central difference of f at x along entry `index` of x."""
+    xp = x.copy()
+    xp[index] += step
+    xm = x.copy()
+    xm[index] -= step
+    return (f(xp) - f(xm)) / (2 * step)
+
+
+def _per_seed(name, seeds, tol, corrupt, compare) -> CheckResult:
+    """Worst relative error of the (analytic, reference) pairs that
+    `compare(seed)` returns, analytic negated under `corrupt`; a string
+    return notes the seed as expected-singular with that condition."""
+    sign = -1.0 if corrupt else 1.0
+    worst = 0.0
+    failures = []
+    notes = []
+    for seed in seeds:
+        pairs = compare(seed)
+        if isinstance(pairs, str):
+            notes.append(f"seed {seed}: expected-singular ({pairs})")
+            continue
+        err = max(float(np.max(relative_errors(sign * a, b)))
+                  for a, b in pairs)
+        worst = max(worst, err)
+        if err > tol:
+            failures.append((seed, err))
+    return CheckResult(name, worst, tol, worst <= tol, len(list(seeds)),
+                       failures, notes)
+
+
 def _random_stationary_problem(seed: int, m: int = 10, n: int = 10):
     """A weighted problem solved to a tight stationary point."""
     rng = np.random.default_rng(seed)
@@ -69,7 +100,7 @@ def _random_stationary_problem(seed: int, m: int = 10, n: int = 10):
                          weights=P, init=inst.gt_pose)
     config = PnPSolverConfig(gradient_tolerance=1e-10)
     solution = pnp_solve(problem, config)
-    return problem, solution, P, inst
+    return problem, solution, P
 
 
 def check_sinkhorn_vjp(seeds=range(20), m: int = 8, n: int = 10,
@@ -77,32 +108,20 @@ def check_sinkhorn_vjp(seeds=range(20), m: int = 8, n: int = 10,
                        fd_step: float = 1e-6, corrupt: bool = False
                        ) -> CheckResult:
     """Transport backward against finite differences of the forward."""
-    worst = 0.0
-    failures = []
-    for seed in seeds:
+    def compare(seed):
         rng = np.random.default_rng(seed)
         M = rng.uniform(0.05, 2.0, (m, n))
         G = rng.standard_normal((m, n))
         plan = sinkhorn_forward(M, mu=mu, tol=1e-12)
-        analytic = sinkhorn_vjp(M, plan, mu, G)
-        if corrupt:
-            analytic = -analytic
-        fd = np.zeros((m, n))
-        for i in range(m):
-            for j in range(n):
-                Mp = M.copy()
-                Mp[i, j] += fd_step
-                Mm = M.copy()
-                Mm[i, j] -= fd_step
-                up = sinkhorn_forward(Mp, mu=mu, tol=1e-12, max_iterations=50000)
-                dn = sinkhorn_forward(Mm, mu=mu, tol=1e-12, max_iterations=50000)
-                fd[i, j] = (np.sum(G * up.P) - np.sum(G * dn.P)) / (2 * fd_step)
-        err = float(np.max(relative_errors(analytic, fd)))
-        worst = max(worst, err)
-        if err > tol:
-            failures.append((seed, err))
-    return CheckResult("sinkhorn-vjp-vs-fd", worst, tol, worst <= tol,
-                       len(list(seeds)), failures)
+
+        def loss(Mx):
+            return np.sum(G * sinkhorn_forward(
+                Mx, mu=mu, tol=1e-12, max_iterations=50000).P)
+
+        fd = [_central(loss, M, ij, fd_step) for ij in np.ndindex(m, n)]
+        return [(sinkhorn_vjp(M, plan, mu, G), fd)]
+
+    return _per_seed("sinkhorn-vjp-vs-fd", seeds, tol, corrupt, compare)
 
 
 def check_pnp_gradient(seeds=range(10), tol: float = 1e-5,
@@ -113,30 +132,19 @@ def check_pnp_gradient(seeds=range(10), tol: float = 1e-5,
     The probe pose sits a healthy distance from the optimum so gradient
     components stay well above the FD oracle's rounding noise.
     """
-    worst = 0.0
-    failures = []
-    for seed in seeds:
-        problem, solution, _, _ = _random_stationary_problem(seed)
+    def compare(seed):
+        problem, solution, _ = _random_stationary_problem(seed)
         rng = np.random.default_rng(seed + 1)
         x = solution.pose.as_vector() + rng.standard_normal(6) * 0.3
-        _, grad = pnp_objective(problem, Pose.from_vector(x))
-        if corrupt:
-            grad = -grad
-        fd = np.zeros(6)
-        for k in range(6):
-            xp = x.copy()
-            xp[k] += fd_step
-            xm = x.copy()
-            xm[k] -= fd_step
-            fd[k] = (pnp_objective(problem, Pose.from_vector(xp))[0]
-                     - pnp_objective(problem, Pose.from_vector(xm))[0]) \
-                / (2 * fd_step)
-        err = float(np.max(relative_errors(grad, fd)))
-        worst = max(worst, err)
-        if err > tol:
-            failures.append((seed, err))
-    return CheckResult("pnp-objective-gradient-vs-fd", worst, tol, worst <= tol,
-                       len(list(seeds)), failures)
+
+        def objective(y):
+            return pnp_objective(problem, Pose.from_vector(y))[0]
+
+        fd = [_central(objective, x, k, fd_step) for k in range(6)]
+        return [(pnp_objective(problem, Pose.from_vector(x))[1], fd)]
+
+    return _per_seed("pnp-objective-gradient-vs-fd", seeds, tol, corrupt,
+                     compare)
 
 
 def check_pnp_second_order(seeds=range(10), tol: float = 1e-5,
@@ -147,133 +155,83 @@ def check_pnp_second_order(seeds=range(10), tol: float = 1e-5,
     Underdetermined cases (a singular Hessian, e.g. a single pair) are
     reported as expected-singular and skipped, not failed.
     """
-    worst = 0.0
-    failures = []
-    notes = []
-    for seed in seeds:
-        problem, solution, P, _ = _random_stationary_problem(seed, m=m, n=n)
-        data = pnp_second_order(problem, solution.pose)
-        if data.singular:
-            notes.append(f"seed {seed}: expected-singular "
-                         f"(cond {data.condition_number:.1e})")
-            continue
-        H = -data.H if corrupt else data.H
-        x = solution.pose.as_vector()
-        Hfd = np.zeros((6, 6))
-        for k in range(6):
-            xp = x.copy()
-            xp[k] += fd_step
-            xm = x.copy()
-            xm[k] -= fd_step
-            Hfd[:, k] = (pnp_objective(problem, Pose.from_vector(xp))[1]
-                         - pnp_objective(problem, Pose.from_vector(xm))[1]) \
-                / (2 * fd_step)
-        err_h = float(np.max(relative_errors(H, Hfd)))
-
-        # B columns: FD of the pose gradient over a few weight entries
-        rng = np.random.default_rng(seed + 2)
-        m, n = P.shape
-        picks = rng.choice(m * n, size=6, replace=False)
-        err_b = 0.0
+    def compare(seed):
+        problem, solution, P = _random_stationary_problem(seed, m=m, n=n)
         pose = solution.pose
-        for flat in picks:
-            i, j = divmod(int(flat), n)
-            Pp = P.copy()
-            Pp[i, j] += fd_step
-            Pm = P.copy()
-            Pm[i, j] -= fd_step
-            gp = pnp_objective(PnPProblem(problem.bearings, problem.points,
-                                          Pp, pose), pose)[1]
-            gm = pnp_objective(PnPProblem(problem.bearings, problem.points,
-                                          Pm, pose), pose)[1]
-            fd_col = (gp - gm) / (2 * fd_step)
-            col = data.B[i * n + j]
-            if corrupt:
-                col = -col
-            err_b = max(err_b, float(np.max(relative_errors(col, fd_col))))
-        err = max(err_h, err_b)
-        worst = max(worst, err)
-        if err > tol:
-            failures.append((seed, err))
-    return CheckResult("pnp-second-order-vs-fd", worst, tol, worst <= tol,
-                       len(list(seeds)), failures, notes)
+        data = pnp_second_order(problem, pose)
+        if data.singular:
+            return f"cond {data.condition_number:.1e}"
+
+        def gradient(y):
+            return pnp_objective(problem, Pose.from_vector(y))[1]
+
+        # B rows: FD of the pose gradient over a few weight entries
+        def gradient_at_weights(Px):
+            return pnp_objective(PnPProblem(problem.bearings, problem.points,
+                                            Px, pose), pose)[1]
+
+        x = pose.as_vector()
+        Hfd = np.stack([_central(gradient, x, k, fd_step) for k in range(6)],
+                       axis=1)
+        picks = np.random.default_rng(seed + 2).choice(P.size, size=6,
+                                                       replace=False)
+        return [(data.H, Hfd)] + [
+            (data.B[flat], _central(gradient_at_weights, P,
+                                    np.unravel_index(flat, P.shape), fd_step))
+            for flat in picks]
+
+    return _per_seed("pnp-second-order-vs-fd", seeds, tol, corrupt, compare)
 
 
 def check_pnp_vjp(seeds=range(10), tol: float = 1e-4, fd_step: float = 1e-6,
                   probes_per_case: int = 8, m: int = 10, n: int = 10,
                   corrupt: bool = False) -> CheckResult:
     """Implicit pose-layer backward against re-solve finite differences."""
-    worst = 0.0
-    failures = []
-    notes = []
     tight = PnPSolverConfig(gradient_tolerance=1e-10)
-    for seed in seeds:
-        problem, solution, P, inst = _random_stationary_problem(seed, m=m, n=n)
+
+    def compare(seed):
+        problem, solution, P = _random_stationary_problem(seed, m=m, n=n)
         rng = np.random.default_rng(seed + 3)
         grad_pose = rng.standard_normal(6)
         try:
             analytic = pnp_vjp(problem, solution, grad_pose)
         except SingularHessianError as exc:
-            notes.append(f"seed {seed}: expected-singular "
-                         f"(cond {exc.condition_number:.1e})")
-            continue
-        if corrupt:
-            analytic = -analytic
-        m, n = P.shape
-        picks = rng.choice(m * n, size=probes_per_case, replace=False)
-        vals_a = []
-        vals_fd = []
-        for flat in picks:
-            i, j = divmod(int(flat), n)
-            poses = []
-            for sgn in (1.0, -1.0):
-                Px = P.copy()
-                Px[i, j] += sgn * fd_step
-                pr = PnPProblem(problem.bearings, problem.points, Px,
-                                solution.pose)
-                poses.append(pnp_solve(pr, tight,
-                                       check_normalization=False).pose.as_vector())
-            vals_fd.append(float(grad_pose @ (poses[0] - poses[1]) / (2 * fd_step)))
-            vals_a.append(float(analytic[i, j]))
-        err = float(np.max(relative_errors(vals_a, vals_fd)))
-        worst = max(worst, err)
-        if err > tol:
-            failures.append((seed, err))
-    return CheckResult("pnp-vjp-vs-resolve-fd", worst, tol, worst <= tol,
-                       len(list(seeds)), failures, notes)
+            return f"cond {exc.condition_number:.1e}"
+
+        def pose_at_weights(Px):
+            pr = PnPProblem(problem.bearings, problem.points, Px,
+                            solution.pose)
+            return pnp_solve(pr, tight,
+                             check_normalization=False).pose.as_vector()
+
+        picks = np.unravel_index(
+            rng.choice(P.size, size=probes_per_case, replace=False), P.shape)
+        fd = [grad_pose @ _central(pose_at_weights, P, ij, fd_step)
+              for ij in zip(*picks)]
+        return [(analytic[picks], fd)]
+
+    return _per_seed("pnp-vjp-vs-resolve-fd", seeds, tol, corrupt, compare)
 
 
 def check_loss_gradients(seeds=range(10), tol: float = 1e-6,
                          fd_step: float = 1e-6, corrupt: bool = False
                          ) -> CheckResult:
     """Pose-loss derivative against FD (away from 0 and 180 degrees)."""
-    worst = 0.0
-    failures = []
-    for seed in seeds:
+    def compare(seed):
         rng = np.random.default_rng(seed)
         axis = rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
         gt = Pose(axis * rng.uniform(0.2, 0.6), rng.uniform(-1, 1, 3))
         est = Pose(gt.r + rng.standard_normal(3) * 0.2,
                    gt.t + rng.standard_normal(3) * 0.2)
-        grad = pose_loss(est, gt).grad
-        if corrupt:
-            grad = -grad
-        x = est.as_vector()
-        fd = np.zeros(6)
-        for k in range(6):
-            xp = x.copy()
-            xp[k] += fd_step
-            xm = x.copy()
-            xm[k] -= fd_step
-            fd[k] = (pose_loss(Pose.from_vector(xp), gt).total
-                     - pose_loss(Pose.from_vector(xm), gt).total) / (2 * fd_step)
-        err = float(np.max(relative_errors(grad, fd)))
-        worst = max(worst, err)
-        if err > tol:
-            failures.append((seed, err))
-    return CheckResult("pose-loss-gradient-vs-fd", worst, tol, worst <= tol,
-                       len(list(seeds)), failures)
+
+        def loss(y):
+            return pose_loss(Pose.from_vector(y), gt).total
+
+        fd = [_central(loss, est.as_vector(), k, fd_step) for k in range(6)]
+        return [(pose_loss(est, gt).grad, fd)]
+
+    return _per_seed("pose-loss-gradient-vs-fd", seeds, tol, corrupt, compare)
 
 
 def _end_to_end_case(seed: int):
@@ -283,6 +241,10 @@ def _end_to_end_case(seed: int):
     config = PipelineConfig(sinkhorn_tol=1e-13,
                             ransac=RansacConfig(seed=seed + 7))
     return inst, M, config
+
+
+class _CandidatesChanged(Exception):
+    """A probe moved the top-k candidate list; its difference is skipped."""
 
 
 def check_end_to_end(seeds=range(3), gammas=(0.0, 1.0), tol: float = 1e-3,
@@ -325,25 +287,23 @@ def check_end_to_end(seeds=range(3), gammas=(0.0, 1.0), tol: float = 1e-3,
             if corrupt:
                 dM = -dM
             scale = np.max(np.abs(dM))
+
+            def loss(Mx):
+                r = solve(Mx, inst, config)
+                sel = top_k_select(r.plan.P, k)[:2]
+                if not (np.array_equal(sel[0], base_sel[0])
+                        and np.array_equal(sel[1], base_sel[1])):
+                    raise _CandidatesChanged
+                lcx, _, plx = losses_of(r)
+                return total_loss(lcx, plx.total, gamma)
+
             for flat in picks:
                 i, j = divmod(int(flat), inst.n)
-                vals = []
-                stable = True
-                for sgn in (1.0, -1.0):
-                    Mx = M.copy()
-                    Mx[i, j] += sgn * fd_step
-                    r = solve(Mx, inst, config)
-                    sel = top_k_select(r.plan.P, k)[:2]
-                    if not (np.array_equal(sel[0], base_sel[0])
-                            and np.array_equal(sel[1], base_sel[1])):
-                        stable = False
-                        break
-                    lcx, _, plx = losses_of(r)
-                    vals.append(total_loss(lcx, plx.total, gamma))
-                if not stable:
+                try:
+                    fd = _central(loss, M, (i, j), fd_step)
+                except _CandidatesChanged:
                     total_skipped += 1
                     continue
-                fd = (vals[0] - vals[1]) / (2 * fd_step)
                 err = abs(dM[i, j] - fd) / max(abs(fd), _FLOOR_FRACTION * scale)
                 worst = max(worst, err)
                 total_checked += 1

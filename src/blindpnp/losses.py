@@ -23,13 +23,10 @@ from .geometry import (ARCCOS_CLAMP, Pose, ray_angles,
 @dataclass(frozen=True)
 class LossConfig:
     theta: float = 0.01        # angular inlier threshold, radians
-    gamma_p: float = 1.0       # pose-loss weight
 
     def __post_init__(self):
         if not (0.0 < self.theta < np.pi):
             raise ValidationError("theta must lie in (0, pi)")
-        if self.gamma_p < 0:
-            raise ValidationError("gamma_p must be nonnegative")
 
 
 def inlier_sign_matrix(bearings, points, gt_pose: Pose, theta: float,

@@ -36,6 +36,8 @@ from .transport import TransportPlan, sinkhorn_forward, sinkhorn_vjp
 from .weighted_pnp import (PnPProblem, PnPSolution, PnPSolverConfig,
                            SparseWeights, pnp_solve, pnp_vjp)
 
+_ALTERNATION_ROUNDS = 50  # cap on rounds of the alternation baseline
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -161,11 +163,10 @@ class AlternationResult:
 
 
 def alternation_baseline(instance: PointSets, init: Pose, theta: float,
-                         max_rounds: int = 50,
                          solver: PnPSolverConfig | None = None,
                          time_limit: float | None = None) -> AlternationResult:
     """Pose-prior local method: alternate correspondence extraction and
-    pose refitting until the pair set stabilizes.
+    pose refitting until the pair set stabilizes, for at most 50 rounds.
 
     Each round thresholds the angular error at the current pose, makes
     the pairs one-to-one, then refits with EPnP followed by uniform-
@@ -177,7 +178,7 @@ def alternation_baseline(instance: PointSets, init: Pose, theta: float,
     prev_pairs = None
     started = time.perf_counter()
     round_no = 0   # the rounds that ran, when the loop ends without a return
-    for round_no in range(1, max_rounds + 1):
+    for round_no in range(1, _ALTERNATION_ROUNDS + 1):
         pairs = correspondences_from_pose(instance.bearings, instance.points,
                                           pose, theta)
         if pairs.shape[0] < 4:

@@ -289,18 +289,17 @@ def _refine_betas(betas: np.ndarray, V: np.ndarray, ctrl: np.ndarray,
     return betas
 
 
-def _epnp_design(f: np.ndarray, w: np.ndarray,
-                 alphas: np.ndarray) -> np.ndarray:
-    """The (3n, 3k) EPnP system: pair i contributes w_i skew(f_i) applied
-    to sum_a alpha_ia x_a = 0, block (i, a) being w_i alpha_ia skew(f_i)."""
+def _epnp_design(f: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """The (3n, 3k) EPnP system: pair i contributes skew(f_i) applied to
+    sum_a alpha_ia x_a = 0, block (i, a) being alpha_ia skew(f_i)."""
     S = np.zeros((f.shape[0], 3, 3))
     S[:, [2, 0, 1], [1, 2, 0]] = f
     S[:, [1, 2, 0], [2, 0, 1]] = -f
-    M = (w[:, None] * alphas)[:, None, :, None] * S[:, :, None, :]
+    M = alphas[:, None, :, None] * S[:, :, None, :]
     return M.reshape(3 * f.shape[0], 3 * alphas.shape[1])
 
 
-def epnp(bearings, points, weights=None) -> Pose:
+def epnp(bearings, points) -> Pose:
     """Linear pose from four or more 2D-3D correspondences.
 
     Expresses each point in a control-point basis, solves the bearing
@@ -308,7 +307,7 @@ def epnp(bearings, points, weights=None) -> Pose:
     recovers the pose by rigid alignment.  Candidate null-space
     dimensions 1..3 are tried (1..2 for planar sets) with Gauss-Newton
     refinement of the basis coefficients; the candidate with the lowest
-    weighted angular residual wins.
+    mean angular residual wins.
     """
     f = np.asarray(bearings, dtype=np.float64)
     p = np.asarray(points, dtype=np.float64)
@@ -317,20 +316,12 @@ def epnp(bearings, points, weights=None) -> Pose:
     npts = p.shape[0]
     if npts < 4:
         raise ValidationError(f"epnp needs at least 4 pairs, got {npts}")
-    if weights is None:
-        w = np.ones(npts)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (npts,) or np.any(w < 0):
-            raise ValidationError("weights must be a nonnegative (k,) array")
-        if w.sum() == 0:
-            raise ValidationError("weights sum to zero")
 
     ctrl, planar = _control_points(p)
     k = ctrl.shape[0]
     alphas = _barycentric(p, ctrl)
 
-    M = _epnp_design(f, w, alphas)
+    M = _epnp_design(f, alphas)
     _, eigvecs = np.linalg.eigh(M.T @ M)
     max_basis = 2 if planar else 3
     V = eigvecs[:, :max_basis].T.reshape(max_basis, k, 3)
@@ -344,7 +335,7 @@ def epnp(bearings, points, weights=None) -> Pose:
         x = np.einsum("i,ikx->kx", betas, V[:n_basis])
         cam = alphas @ x
         # resolve the global sign so points sit in front of the camera
-        if float(np.sum(np.sum(f * cam, axis=1) * w)) < 0:
+        if float(np.sum(np.sum(f * cam, axis=1))) < 0:
             cam = -cam
         scale = np.linalg.norm(cam)
         if not np.isfinite(scale) or scale < 1e-12:
@@ -354,8 +345,7 @@ def epnp(bearings, points, weights=None) -> Pose:
             pose = Pose(log_so3(R), t)
         except (ValidationError, np.linalg.LinAlgError):
             continue
-        err = float(np.average(ray_angles(f, transform_points(pose, p)),
-                               weights=w))
+        err = float(np.mean(ray_angles(f, transform_points(pose, p))))
         if err < best_err:
             best_err, best_pose = err, pose
     if best_pose is None:

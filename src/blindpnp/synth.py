@@ -2,12 +2,14 @@
 
 Instances mimic a calibrated virtual camera observing a unit-scale
 point cloud: points are drawn uniformly in a unit cube, the camera pose
-combines uniform intrinsic Z-Y-X Euler angles with a bounded random
-translation pushed back along the optical axis, points are projected to
-a virtual image (out-of-frame points are redrawn), Gaussian pixel noise
-is added, and an optional fraction of bearings is replaced by uniform
-image points with no ground-truth partner.  Point order is shuffled so
-the ground-truth correspondence is a nontrivial permutation.
+combines uniform intrinsic Z-Y-X Euler angles in [0, EULER_MAX] with a
+translation uniform in [-TRANSLATION_RANGE, TRANSLATION_RANGE] per axis
+pushed back by Z_OFFSET along the optical axis, points are projected to
+an IMAGE_WIDTH x IMAGE_HEIGHT image of focal length FOCAL (out-of-frame
+points are redrawn, up to MAX_RESAMPLE_ROUNDS times), Gaussian pixel
+noise is added, and an optional fraction of bearings is replaced by
+uniform image points with no ground-truth partner.  Point order is
+shuffled so the ground-truth correspondence is a nontrivial permutation.
 
 The oracle cost matrix stands in for learned feature distances: zero on
 ground-truth pairs and a constant elsewhere.  Running it through the
@@ -35,20 +37,21 @@ from .transport import TransportPlan, sinkhorn_forward
 _FORMAT_HEADER = "blindpnp-instance v1"
 EULER_CONVENTION = "zyx-intrinsic"
 
+EULER_MAX = np.pi / 4         # each Euler angle uniform in [0, EULER_MAX]
+TRANSLATION_RANGE = 0.5       # each translation component uniform in [-x, x]
+Z_OFFSET = 4.5                # then pushed back along the optical axis
+IMAGE_WIDTH = 640
+IMAGE_HEIGHT = 480
+FOCAL = 800.0
+MAX_RESAMPLE_ROUNDS = 100     # redraws of out-of-frame points
+
 
 @dataclass(frozen=True)
 class SynthConfig:
     n_points: int = 1000
-    euler_max: float = np.pi / 4         # each angle uniform in [0, euler_max]
-    translation_range: float = 0.5       # each component uniform in [-x, x]
-    z_offset: float = 4.5
-    image_width: int = 640
-    image_height: int = 480
-    focal: float = 800.0
     pixel_noise_sigma: float = 2.0
     outlier_fraction: float = 0.0
     seed: int = 0
-    max_resample_rounds: int = 100
 
     def __post_init__(self):
         if self.n_points < 1:
@@ -57,10 +60,6 @@ class SynthConfig:
             raise ValidationError("pixel_noise_sigma must be nonnegative")
         if not (0.0 <= self.outlier_fraction < 1.0):
             raise ValidationError("outlier_fraction must lie in [0, 1)")
-
-    def intrinsics(self) -> np.ndarray:
-        return make_intrinsics(self.focal, self.image_width / 2.0,
-                               self.image_height / 2.0)
 
 
 @dataclass(frozen=True)
@@ -119,25 +118,25 @@ def generate_instance(config: SynthConfig) -> PointSets:
     produce bit-identical instances.
     """
     rng = np.random.default_rng(config.seed)
-    K = config.intrinsics()
+    w, h = float(IMAGE_WIDTH), float(IMAGE_HEIGHT)
+    K = make_intrinsics(FOCAL, w / 2.0, h / 2.0)
     n = config.n_points
 
-    yaw, pitch, roll = rng.uniform(0.0, config.euler_max, 3)
+    yaw, pitch, roll = rng.uniform(0.0, EULER_MAX, 3)
     R = euler_zyx_to_matrix(yaw, pitch, roll)
-    t = rng.uniform(-config.translation_range, config.translation_range, 3)
-    t = t + np.array([0.0, 0.0, config.z_offset])
+    t = rng.uniform(-TRANSLATION_RANGE, TRANSLATION_RANGE, 3)
+    t = t + np.array([0.0, 0.0, Z_OFFSET])
     gt_pose = Pose(log_so3(R), t)
 
-    w, h = float(config.image_width), float(config.image_height)
     points = np.zeros((n, 3))
     pixels = np.zeros((n, 2))
     todo = np.arange(n)
-    for _ in range(config.max_resample_rounds):
+    for _ in range(MAX_RESAMPLE_ROUNDS):
         draw = rng.uniform(-0.5, 0.5, (todo.size, 3))
         q = draw @ R.T + t
         ok_depth = q[:, 2] > 1e-9
         uv = np.zeros((todo.size, 2))
-        uv[ok_depth] = (q[ok_depth, :2] / q[ok_depth, 2:3]) * config.focal
+        uv[ok_depth] = (q[ok_depth, :2] / q[ok_depth, 2:3]) * FOCAL
         uv[ok_depth] += np.array([w / 2.0, h / 2.0])
         ok = ok_depth & (uv[:, 0] >= 0) & (uv[:, 0] < w) \
             & (uv[:, 1] >= 0) & (uv[:, 1] < h)
@@ -149,7 +148,7 @@ def generate_instance(config: SynthConfig) -> PointSets:
     if todo.size:
         raise ValidationError(
             f"could not place {todo.size} points inside the image after "
-            f"{config.max_resample_rounds} resampling rounds; the sampled "
+            f"{MAX_RESAMPLE_ROUNDS} resampling rounds; the sampled "
             "pose sees too little of the cloud")
 
     pixels = pixels + rng.normal(0.0, 1.0, (n, 2)) * config.pixel_noise_sigma
@@ -286,6 +285,18 @@ def _read_floats(reader: _LineReader, count: int, width: int,
     return rows
 
 
+def _read_int(text: str, line_no: int, what: str, minimum=-2**63) -> int:
+    """int(text), or an InstanceFormatError naming the line when text is
+    not an integer, is below `minimum` or does not fit in an int64."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or not minimum <= value < 2**63:
+        raise InstanceFormatError(f"line {line_no}: bad {what}: {text!r}")
+    return value
+
+
 def load_instance(path) -> PointSets:
     """Parse an instance file; raises InstanceFormatError with the line
     and section on any malformed input, never returning a partial
@@ -326,9 +337,9 @@ def load_instance(path) -> PointSets:
                         f"'key value', got {line!r}")
                 key, value = parts
                 if key == "m":
-                    m = int(value)
+                    m = _read_int(value, reader.line_no, "m", minimum=1)
                 elif key == "n":
-                    n = int(value)
+                    n = _read_int(value, reader.line_no, "n", minimum=1)
                 else:
                     meta[key] = value
             continue
@@ -350,20 +361,16 @@ def load_instance(path) -> PointSets:
             rows = _read_floats(reader, 2, 3, name)
             gt_pose = Pose(rows[0], rows[1])
         elif name == "gt_pairs":
-            count_line = reader.next("gt_pairs count")
-            try:
-                count = int(count_line)
-            except ValueError as exc:
-                raise InstanceFormatError(
-                    f"line {reader.line_no}: bad gt_pairs count: "
-                    f"{count_line!r}") from exc
+            count = _read_int(reader.next("gt_pairs count"),
+                              reader.line_no, "gt_pairs count", minimum=0)
             pairs = np.empty((count, 2), dtype=np.int64)
             for i in range(count):
                 parts = reader.next("gt_pairs").split()
                 if len(parts) != 2:
                     raise InstanceFormatError(
                         f"line {reader.line_no}: gt_pairs rows are 'i j'")
-                pairs[i] = [int(parts[0]), int(parts[1])]
+                pairs[i] = [_read_int(p, reader.line_no, "gt_pairs index")
+                            for p in parts]
             gt_pairs = pairs
         else:
             raise InstanceFormatError(

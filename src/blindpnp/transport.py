@@ -3,7 +3,7 @@
 The forward pass solves
 
     minimize  sum_ij M_ij P_ij + mu * P_ij (log P_ij - 1)
-    over      P > 0 with row sums r and column sums c
+    over      P > 0 with uniform marginals 1/m and 1/n
 
 by over-relaxed Sinkhorn scaling (Thibault et al. 2017; Lehmann et al.,
 Optim. Lett. 2022), stabilized in the log domain: scaling factors are
@@ -58,30 +58,12 @@ class TransportPlan:
 
     P: np.ndarray
     iterations: int
-    residual: float          # final max |marginal - prior|, both sides
+    residual: float          # final max |marginal - 1/m or 1/n|, both sides
     converged: bool
 
     @property
     def shape(self):
         return self.P.shape
-
-
-def uniform_priors(m: int, n: int):
-    return np.full(m, 1.0 / m), np.full(n, 1.0 / n)
-
-
-def _validate_priors(row_prior, col_prior, m, n):
-    r = np.asarray(row_prior, dtype=np.float64)
-    c = np.asarray(col_prior, dtype=np.float64)
-    if r.shape != (m,) or c.shape != (n,):
-        raise ValidationError(
-            f"prior shapes {r.shape}, {c.shape} do not match cost {m}x{n}")
-    # written so that NaN fails both tests
-    if not (np.all(r > 0) and np.all(c > 0)):
-        raise ValidationError("priors must be strictly positive")
-    if not (abs(r.sum() - 1.0) <= 1e-8 and abs(c.sum() - 1.0) <= 1e-8):
-        raise ValidationError("priors must each sum to 1")
-    return r / r.sum(), c / c.sum()
 
 
 def _logsumexp_rows(A):
@@ -221,10 +203,10 @@ def _scale_iterations(logK0, r, c, logr, logc, phi, psi, tol, max_iterations):
     return phi + np.log(u), psi + np.log(v), it
 
 
-def sinkhorn_forward(M, row_prior=None, col_prior=None, mu: float = 0.1,
-                     tol: float = 1e-9, max_iterations: int = 10000,
+def sinkhorn_forward(M, mu: float = 0.1, tol: float = 1e-9,
+                     max_iterations: int = 10000,
                      anneal: bool = False) -> TransportPlan:
-    """Entropy-regularized transport plan with prescribed marginals.
+    """Entropy-regularized plan with uniform marginals 1/m and 1/n.
 
     Runs to convergence (max row and column marginal residual <= tol)
     or to the iteration cap; non-convergence is reported through the
@@ -250,10 +232,7 @@ def sinkhorn_forward(M, row_prior=None, col_prior=None, mu: float = 0.1,
     if not (tol >= 0):
         raise ValidationError(f"tolerance must be nonnegative, got {tol}")
     m, n = M.shape
-    if row_prior is None and col_prior is None:
-        r, c = uniform_priors(m, n)
-    else:
-        r, c = _validate_priors(row_prior, col_prior, m, n)
+    r, c = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
     logr, logc = np.log(r), np.log(c)
 
     if anneal and _ANNEAL_START > mu:
@@ -297,12 +276,11 @@ def sinkhorn_forward(M, row_prior=None, col_prior=None, mu: float = 0.1,
 def sinkhorn_vjp(M, plan: TransportPlan, mu: float, grad_P) -> np.ndarray:
     """dL/dM given dL/dP, by implicit differentiation at the optimum.
 
-    `plan` is a converged TransportPlan or a bare positive plan taken as
-    feasible.  `M`, which dL/dM depends on only through the plan, is
-    shape-checked when given and may be None.
+    `plan` must be a converged, strictly positive TransportPlan.  `M`,
+    which dL/dM depends on only through the plan, is shape-checked when
+    given and may be None.
     """
-    P = np.asarray(plan.P if isinstance(plan, TransportPlan) else plan,
-                   dtype=np.float64)
+    P = np.asarray(plan.P, dtype=np.float64)
     G = np.asarray(grad_P, dtype=np.float64)
     m, n = P.shape
     if M is not None and np.asarray(M).shape != (m, n):
@@ -314,7 +292,7 @@ def sinkhorn_vjp(M, plan: TransportPlan, mu: float, grad_P) -> np.ndarray:
         raise ValidationError("mu must be positive")
     if not np.all(P > 0):  # also fails on NaN
         raise ValidationError("transport plan must be strictly positive")
-    if isinstance(plan, TransportPlan) and not plan.converged:
+    if not plan.converged:
         raise ValidationError(
             "plan did not converge; the implicit gradient is undefined "
             f"(residual {plan.residual:.2e})")

@@ -163,6 +163,16 @@ class TestBenchmark:
         assert rows["200"]["ransac"] == rows["1"]["ransac"]
         assert rows["200"]["alternation"] != rows["1"]["alternation"]
 
+    @pytest.mark.parametrize("thresholds", ["5,x,10", "nan,5", "5,inf",
+                                            "0,5", "-1", ""])
+    def test_bad_thresholds_are_usage_errors(self, dataset, tmp_path, capsys,
+                                             thresholds):
+        out = tmp_path / "o"
+        assert run_cli(["benchmark", "--dataset", str(dataset),
+                        "--out", str(out), "--thresholds", thresholds]) == 1
+        assert "--thresholds" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any instance was solved
+
     def test_empty_dataset_rejected(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

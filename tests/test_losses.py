@@ -6,8 +6,7 @@ import pytest
 
 from blindpnp.errors import ValidationError
 from blindpnp.geometry import Pose
-from blindpnp.losses import (LossConfig, correspondence_loss, pose_loss,
-                             total_loss)
+from blindpnp.losses import correspondence_loss, pose_loss, total_loss
 from blindpnp.transport import sinkhorn_forward
 
 from conftest import exact_bearings, random_pose
@@ -159,5 +158,3 @@ class TestTotalLoss:
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValidationError):
             total_loss(0.0, 0.0, -0.1)
-        with pytest.raises(ValidationError):
-            LossConfig(gamma_p=-1.0)

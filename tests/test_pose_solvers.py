@@ -219,7 +219,7 @@ class TestBatchedP3P:
             assert resid[r] == alone_resid[0]
 
 
-def design_matrix_loop(f, w, alphas):
+def design_matrix_loop(f, alphas):
     """The EPnP system built block by block."""
     npts, k = alphas.shape
     M = np.zeros((3 * npts, 3 * k))
@@ -227,7 +227,7 @@ def design_matrix_loop(f, w, alphas):
         fx, fy, fz = f[i]
         S = np.array([[0.0, -fz, fy], [fz, 0.0, -fx], [-fy, fx, 0.0]])
         for a in range(k):
-            M[3 * i:3 * i + 3, 3 * a:3 * a + 3] = w[i] * alphas[i, a] * S
+            M[3 * i:3 * i + 3, 3 * a:3 * a + 3] = alphas[i, a] * S
     return M
 
 
@@ -239,10 +239,9 @@ class TestEPnP:
         k = data.draw(st.sampled_from([3, 4]))
         values = st.floats(-2.0, 2.0, allow_subnormal=False)
         f = data.draw(arrays(np.float64, (n, 3), elements=values))
-        w = data.draw(arrays(np.float64, n, elements=st.floats(0.0, 2.0)))
         alphas = data.draw(arrays(np.float64, (n, k), elements=values))
-        M = _epnp_design(f, w, alphas)
-        expected = design_matrix_loop(f, w, alphas)
+        M = _epnp_design(f, alphas)
+        expected = design_matrix_loop(f, alphas)
         assert M.tobytes() == expected.tobytes()
         assert (M.T @ M).tobytes() == (expected.T @ expected).tobytes()
 
@@ -279,25 +278,6 @@ class TestEPnP:
         shuffled = epnp(bearings[perm], points[perm])
         assert np.max(np.abs(base.r - shuffled.r)) <= 1e-9
         assert np.max(np.abs(base.t - shuffled.t)) <= 1e-9
-
-    def test_weighted_downweights_bad_pair(self, rng):
-        pose = random_pose(rng)
-        points = rng.uniform(-0.5, 0.5, (12, 3))
-        bearings = exact_bearings(pose, points)
-        corrupted = bearings.copy()
-        corrupted[0] = corrupted[0] + np.array([0.05, -0.03, 0.0])
-        corrupted[0] /= np.linalg.norm(corrupted[0])
-        weights = np.ones(12)
-        weights[0] = 1e-8
-        est = epnp(corrupted, points, weights=weights)
-        assert pose_distance(est, pose) <= 1e-4
-
-    def test_negative_weights_rejected(self, rng):
-        pose = random_pose(rng)
-        points = rng.uniform(-0.5, 0.5, (5, 3))
-        with pytest.raises(ValidationError):
-            epnp(exact_bearings(pose, points), points,
-                 weights=np.array([1, 1, 1, 1, -1.0]))
 
 
 def make_candidates(rng, pose, n=100, true_count=75, wrong_count=75):

@@ -7,7 +7,8 @@ from blindpnp.assignment import top_k_select
 from blindpnp.errors import InstanceFormatError, ValidationError
 from blindpnp.geometry import (bearings_to_pixels, clamped_arccos,
                                inlier_objective, transform_points)
-from blindpnp.synth import (EULER_CONVENTION, PointSets, SynthConfig,
+from blindpnp.synth import (EULER_CONVENTION, EULER_MAX, TRANSLATION_RANGE,
+                            Z_OFFSET, PointSets, SynthConfig,
                             generate_instance, load_instance,
                             oracle_probability, save_instance)
 
@@ -67,14 +68,13 @@ class TestGeneration:
         # pose parameters recovered from the instance must respect the
         # sampling box (Euler angles via the inverse convention)
         for seed in range(50):
-            cfg = SynthConfig(n_points=20, seed=seed)
-            inst = generate_instance(cfg)
+            inst = generate_instance(SynthConfig(n_points=20, seed=seed))
             R = inst.gt_pose.matrix()
             yaw, pitch, roll = euler_zyx_angles(R)
             for angle in (yaw, pitch, roll):
-                assert -1e-9 <= angle <= np.pi / 4 + 1e-9
-            offset = inst.gt_pose.t - np.array([0.0, 0.0, cfg.z_offset])
-            assert np.all(np.abs(offset) <= cfg.translation_range + 1e-12)
+                assert -1e-9 <= angle <= EULER_MAX + 1e-9
+            offset = inst.gt_pose.t - np.array([0.0, 0.0, Z_OFFSET])
+            assert np.all(np.abs(offset) <= TRANSLATION_RANGE + 1e-12)
             assert np.all(np.abs(inst.points) <= 0.5 + 1e-12)
 
     def test_three_sigma_angular_inlier_bound(self):
@@ -193,6 +193,24 @@ class TestInstanceIO:
         lines[idx] = "0.1 oops 0.3"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InstanceFormatError, match=f"line {idx + 1}"):
+            load_instance(path)
+
+    @pytest.mark.parametrize("section, offset, text", [
+        ("section metadata", 1, "m five"),
+        ("section metadata", 1, "m -1"),
+        ("section gt_pairs", 1, "-2"),
+        ("section gt_pairs", 2, "a b"),
+        ("section gt_pairs", 2, "99999999999999999999 1")])
+    def test_bad_integer_diagnosed_with_line(self, tmp_path, section, offset,
+                                             text):
+        inst = generate_instance(SynthConfig(n_points=4, seed=1))
+        path = tmp_path / "bad.txt"
+        save_instance(inst, path)
+        lines = path.read_text().splitlines()
+        idx = lines.index(section) + offset
+        lines[idx] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InstanceFormatError, match=f"line {idx + 1}:"):
             load_instance(path)
 
     def test_negative_gt_pair_rejected(self, tmp_path):
