@@ -11,7 +11,6 @@ selection of the k most probable entries of a correspondence matrix.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ValidationError
 from .geometry import Pose, ray_angles, transform_points
@@ -28,6 +27,17 @@ def hungarian(cost) -> np.ndarray:
 
     Returns a (min(m, n), 2) array of (row, col) pairs sorted by row.
     The |m - n| surplus rows or columns stay unmatched.
+
+    Crouse's shortest augmenting path method ("On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 2016), as in
+    scipy.optimize.linear_sum_assignment, whose pairs it returns: a
+    matrix with more rows than columns is transposed, and each row then
+    adds one augmenting path, found by a Dijkstra search over the
+    reduced costs.  The tie order is scipy's too: the search scans the
+    columns not yet reached in a list that starts reversed and loses an
+    entry by moving the last one into its place; among columns at the
+    least path cost it takes the last unassigned one, else the first.
+    O(min(m, n)^2 max(m, n)) time.
     """
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
@@ -36,8 +46,60 @@ def hungarian(cost) -> np.ndarray:
         raise ValidationError("cost matrix contains NaN")
     if not np.all(np.isfinite(c)):
         raise ValidationError("cost matrix contains non-finite entries")
-    rows, cols = linear_sum_assignment(c)
-    return np.stack([rows, cols], axis=1).astype(np.int64)
+    transpose = c.shape[0] > c.shape[1]
+    col4row = _augment_rows(c.T if transpose else c)
+    if transpose:
+        cols = np.argsort(col4row)
+        return np.stack([col4row[cols], cols], axis=1)
+    return np.stack([np.arange(col4row.size), col4row], axis=1)
+
+
+def _augment_rows(c) -> np.ndarray:
+    """Column of each row of a finite (nr, nc) matrix, nr <= nc, in a
+    minimum-cost assignment: one shortest augmenting path per row."""
+    nr, nc = c.shape
+    u = np.zeros(nr)  # row duals
+    v = np.zeros(nc)  # column duals
+    path = np.full(nc, -1)
+    col4row = np.full(nr, -1)
+    row4col = np.full(nc, -1)
+    for current in range(nr):
+        shortest = np.full(nc, np.inf)
+        remaining = np.arange(nc - 1, -1, -1)
+        rows_seen = np.zeros(nr, dtype=bool)
+        cols_seen = np.zeros(nc, dtype=bool)
+        i, min_val, left = current, 0.0, nc
+        while True:
+            rows_seen[i] = True
+            cols = remaining[:left]
+            reduced = ((min_val + c[i, cols]) - u[i]) - v[cols]
+            better = reduced < shortest[cols]
+            path[cols[better]] = i
+            shortest[cols[better]] = reduced[better]
+            at = shortest[cols]
+            min_val = at.min()
+            tied = np.flatnonzero(at == min_val)
+            free = tied[row4col[cols[tied]] == -1]
+            index = free[-1] if free.size else tied[0]
+            j = cols[index]
+            cols_seen[j] = True
+            left -= 1
+            remaining[index] = remaining[left]
+            if row4col[j] == -1:
+                break
+            i = row4col[j]
+        # update the duals, then flip the path ending at the free column j
+        u[current] += min_val
+        rows_seen[current] = False
+        u[rows_seen] += min_val - shortest[col4row[rows_seen]]
+        v[cols_seen] -= min_val - shortest[cols_seen]
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == current:
+                break
+    return col4row
 
 
 def one_to_one(pairs, costs) -> np.ndarray:

@@ -25,7 +25,6 @@ from . import __version__
 from .errors import BlindPnpError
 from .geometry import Pose, exp_so3, log_so3
 from .gradcheck import ALL_CHECKS, run_all
-from .losses import LossConfig
 from .pipeline import (PipelineConfig, alternation_baseline, pose_errors,
                        quartiles, recall, solve)
 from .pose_solvers import RansacConfig
@@ -80,8 +79,7 @@ def _pipeline_config(args) -> PipelineConfig:
                             confidence=args.ransac_confidence,
                             seed=args.ransac_seed),
         solver=PnPSolverConfig(max_iterations=args.refine_iterations,
-                               gradient_tolerance=args.refine_tolerance),
-        loss=LossConfig(theta=args.theta))
+                               gradient_tolerance=args.refine_tolerance))
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
@@ -100,8 +98,6 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
                    help="cap on damped Newton steps of the pose refinement")
     p.add_argument("--refine-tolerance", type=float, default=1e-9,
                    help="gradient norm at which the refined pose converges")
-    p.add_argument("--theta", type=float, default=0.01,
-                   help="angular inlier threshold of the alternation baseline")
 
 
 def _add_cost_flags(p: argparse.ArgumentParser) -> None:
@@ -442,6 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--baseline-init-trans", type=float, default=0.1)
     b.add_argument("--time-limit", type=float, default=None,
                    help="per-instance wall-clock guard for the baseline")
+    b.add_argument("--theta", type=float, default=0.01,
+                   help="angular inlier threshold of the alternation baseline")
     _add_cost_flags(b)
     _add_pipeline_flags(b)
     b.set_defaults(func=cmd_benchmark)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingularHessianError
+from .errors import SingularHessianError, ValidationError
 from .geometry import Pose
 from .losses import correspondence_loss, pose_loss, total_loss
 from .pipeline import PipelineConfig, backward, solve
@@ -90,6 +90,10 @@ def _per_seed(name, seeds, tol, corrupt, compare) -> CheckResult:
 
 def _random_stationary_problem(seed: int, m: int = 10, n: int = 10):
     """A weighted problem solved to a tight stationary point."""
+    if m != n:
+        raise ValidationError(
+            f"stationary pose problems pair bearing i with point i, so they "
+            f"need m == n; got m = {m}, n = {n}")
     rng = np.random.default_rng(seed)
     inst = generate_instance(SynthConfig(
         n_points=n, seed=seed, pixel_noise_sigma=1.0))
@@ -173,8 +177,8 @@ def check_pnp_second_order(seeds=range(10), tol: float = 1e-5,
         x = pose.as_vector()
         Hfd = np.stack([_central(gradient, x, k, fd_step) for k in range(6)],
                        axis=1)
-        picks = np.random.default_rng(seed + 2).choice(P.size, size=6,
-                                                       replace=False)
+        picks = np.random.default_rng(seed + 2).choice(
+            P.size, size=min(6, P.size), replace=False)
         return [(data.H, Hfd)] + [
             (data.B[flat], _central(gradient_at_weights, P,
                                     np.unravel_index(flat, P.shape), fd_step))
@@ -205,7 +209,8 @@ def check_pnp_vjp(seeds=range(10), tol: float = 1e-4, fd_step: float = 1e-6,
                              check_normalization=False).pose.as_vector()
 
         picks = np.unravel_index(
-            rng.choice(P.size, size=probes_per_case, replace=False), P.shape)
+            rng.choice(P.size, size=min(probes_per_case, P.size),
+                       replace=False), P.shape)
         fd = [grad_pose @ _central(pose_at_weights, P, ij, fd_step)
               for ij in zip(*picks)]
         return [(analytic[picks], fd)]

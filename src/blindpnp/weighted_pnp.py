@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError, SingularHessianError, ValidationError
 from .geometry import (Pose, canonicalize_angle_axis, check_pairs_in_range,
@@ -217,20 +216,34 @@ def pnp_objective(problem: PnPProblem, pose: Pose):
     return max(float(value), 0.0), grad
 
 
+def _check_finite(H, g) -> None:
+    if not (np.isfinite(H).all() and np.isfinite(g).all()):
+        raise NumericalError("pose Hessian or gradient is not finite")
+
+
+def _positive_definite_solve(A, b):
+    """A^-1 b; LinAlgError unless the symmetric A is positive definite."""
+    np.linalg.cholesky(A)  # raises LinAlgError on a failed factorization
+    return np.linalg.solve(A, b)
+
+
 def _damped_step(w, s, points, active, x, value, g, noise):
     """One damped Newton step from x: (x, value, g) after it, or None.
 
-    Solves (H + lam I) d = g by Cholesky, raising lam from 0 until the
-    factorization succeeds and x - d descends: it lowers the objective,
-    or it shrinks |g| while the objective rises by at most `noise`, the
-    objective's own rounding, which cannot resolve a smaller decrease.
-    None once lam has shrunk d below the rounding of x.
+    Solves (H + lam I) d = g, raising lam from 0 until H + lam I has a
+    Cholesky factor (is positive definite) and x - d descends: it lowers
+    the objective, or it shrinks |g| while the objective rises by at
+    most `noise`, the objective's own rounding, which cannot resolve a
+    smaller decrease.  None once lam has shrunk d below the rounding of
+    x.  A non-finite H or g raises NumericalError: the factorization
+    would not fail on it, and no lam would give a descending step.
     """
     H = _hessian(w, s, points, x, active)
+    _check_finite(H, g)
     lam = 0.0
     while True:
         try:
-            d = cho_solve(cho_factor(H + lam * np.eye(6)), g)
+            d = _positive_definite_solve(H + lam * np.eye(6), g)
             if np.linalg.norm(d) <= _EPS * max(np.linalg.norm(x), 1.0):
                 return None
             value_new, g_new = _value_and_gradient(w, s, points, x - d, active)
@@ -284,13 +297,14 @@ def pnp_solve(problem: PnPProblem, config: PnPSolverConfig | None = None,
 
     if np.linalg.norm(g) <= config.gradient_tolerance:
         H = _hessian(w, s, points, x, active)
+        _check_finite(H, g)
         for _ in range(config.max_iterations - iterations):
             try:
-                x_new = x - cho_solve(cho_factor(H), g)
+                x_new = x - _positive_definite_solve(H, g)
                 _, g_new = _value_and_gradient(w, s, points, x_new, active)
             except (np.linalg.LinAlgError, NumericalError):
                 break
-            if np.linalg.norm(g_new) >= np.linalg.norm(g):
+            if not np.linalg.norm(g_new) < np.linalg.norm(g):  # NaN too
                 break
             x, g = x_new, g_new
 

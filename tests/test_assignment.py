@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blindpnp import assignment
-from blindpnp.assignment import (_SAMPLE_STRIDE, _TIE_CHUNK, candidate_count,
-                                 correspondences_from_pose, hungarian,
-                                 one_to_one, top_k_select)
+from blindpnp.assignment import (_SAMPLE_STRIDE, _SENTINEL_COST, _TIE_CHUNK,
+                                 candidate_count, correspondences_from_pose,
+                                 hungarian, one_to_one, top_k_select)
 from blindpnp.errors import ValidationError
 from blindpnp.geometry import Pose, ray_angles, transform_points
 from blindpnp.synth import SynthConfig, generate_instance, oracle_cost
@@ -73,6 +73,31 @@ class TestHungarian:
         for _ in range(100):
             perm = rng.permutation(20)
             assert best <= cost[np.arange(20), perm].sum() + 1e-12
+
+    @settings(deadline=None, derandomize=True, database=None,
+              max_examples=200)
+    @given(st.data())
+    def test_same_pairs_as_scipy(self, data):
+        # the oracle is scipy's solver, which the library does not import
+        from scipy.optimize import linear_sum_assignment
+        m = data.draw(st.integers(1, 40))
+        n = data.draw(st.integers(1, 40))
+        kind = data.draw(st.sampled_from(["uniform", "integer", "sentinel"]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if kind == "uniform":
+            cost = rng.uniform(0.0, 1.0, (m, n))
+        elif kind == "integer":  # ties everywhere
+            cost = rng.integers(0, 4, (m, n)).astype(np.float64)
+        else:  # a conflict sub-matrix as `one_to_one` builds it
+            k = data.draw(st.integers(0, 2 * (m + n)))
+            cost = np.full((m, n), _SENTINEL_COST)
+            np.minimum.at(cost, (rng.integers(0, m, k), rng.integers(0, n, k)),
+                          np.round(4.0 * rng.uniform(0.0, np.pi, k)) / 4.0)
+        for c in (cost, cost.T):
+            rows, cols = linear_sum_assignment(c)
+            got = hungarian(c)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, np.stack([rows, cols], axis=1))
 
     def test_nan_rejected(self):
         cost = np.zeros((2, 2))

@@ -103,6 +103,17 @@ class TestSolve:
         lines = (out / "solve.csv").read_text().splitlines()
         assert "shape" in lines[2]
 
+    def test_theta_is_a_usage_error(self, dataset, tmp_path, capsys):
+        # only the benchmark's alternation baseline reads an angular
+        # threshold, so solve has no --theta to ignore
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["solve", str(dataset), "--out", str(tmp_path / "o"),
+                     "--theta", "0.5"])
+        assert exit_info.value.code == 1
+        assert "--theta" in capsys.readouterr().err
+        assert run_cli(["benchmark", "--dataset", str(dataset),
+                        "--out", str(tmp_path / "b"), "--theta", "0.5"]) == 0
+
     def test_jobs_parallelism_matches_serial(self, dataset, tmp_path):
         # result columns must agree bit-for-bit; the wall-clock column is
         # a measurement and is excluded from the comparison
@@ -203,6 +214,14 @@ class TestEntryPoint:
             [sys.executable, "-m", "blindpnp.cli", "--no-such-flag"],
             capture_output=True)
         assert proc.returncode == 1
+
+    def test_imports_no_scipy(self):
+        code = ("import sys, blindpnp, blindpnp.cli; "
+                "print([k for k in sys.modules if k.startswith('scipy')])")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_version_flag(self):
         proc = subprocess.run(

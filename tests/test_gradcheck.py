@@ -2,7 +2,9 @@
 and singular-case reporting."""
 
 import numpy as np
+import pytest
 
+from blindpnp.errors import ValidationError
 from blindpnp.gradcheck import (ALL_CHECKS, check_end_to_end,
                                 check_loss_gradients, check_pnp_gradient,
                                 check_pnp_second_order, check_pnp_vjp,
@@ -91,6 +93,19 @@ class TestSingularCases:
         result = check_pnp_vjp(seeds=range(1), m=1, n=1)
         assert result.passed
         assert any("expected-singular" in note for note in result.notes)
+
+
+class TestSizes:
+    @pytest.mark.parametrize("check", [check_pnp_second_order, check_pnp_vjp])
+    def test_unequal_sizes_rejected(self, check):
+        with pytest.raises(ValidationError, match="m == n"):
+            check(seeds=range(1), m=2, n=3)
+
+    @pytest.mark.parametrize("check", [check_pnp_second_order, check_pnp_vjp])
+    def test_fewer_entries_than_probes(self, check):
+        # 4 weight entries, fewer than the 6 or 8 probes a case draws
+        result = check(seeds=range(2), m=2, n=2)
+        assert result.cases == 2
 
 
 def test_all_checks_registry_complete():

@@ -8,11 +8,14 @@ backward are checked against the complex-step and dense forms they
 replaced.
 """
 
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blindpnp import weighted_pnp
 from blindpnp.errors import (NumericalError, SingularHessianError,
                              ValidationError)
 from blindpnp.geometry import (_SMALL_ANGLE_SQ, Pose, exp_so3,
@@ -209,6 +212,34 @@ class TestSolve:
         np.testing.assert_array_equal(a.pose.as_vector(), b.pose.as_vector())
         assert (a.objective_value, a.gradient_norm, a.iterations) == \
             (b.objective_value, b.gradient_norm, b.iterations)
+
+    @pytest.mark.parametrize("start", ["far", "converged"])
+    def test_nan_hessian_raises(self, rng, monkeypatch, start):
+        # "far" fails in the damped steps, "converged" (|g| already below
+        # the tolerance) in the full Newton steps after them; a NaN H must
+        # neither raise lam forever nor be taken as a step
+        problem, pose = concentrated_problem(rng)
+        init = Pose(pose.r + 0.05, pose.t + 0.05)
+        if start == "converged":
+            init = pnp_solve(PnPProblem(problem.bearings, problem.points,
+                                        problem.weights, init)).pose
+            assert np.linalg.norm(pnp_objective(problem, init)[1]) <= 1e-9
+        problem = PnPProblem(problem.bearings, problem.points,
+                             problem.weights, init)
+        monkeypatch.setattr(weighted_pnp, "_hessian",
+                            lambda *args: np.full((6, 6), np.nan))
+
+        def hung(signum, frame):
+            raise AssertionError("pnp_solve did not return in 20 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)
+        try:
+            with pytest.raises(NumericalError, match="not finite"):
+                pnp_solve(problem)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_normalization_validated_but_bypassable(self, rng):
         problem, pose = concentrated_problem(rng)
