@@ -22,7 +22,7 @@ from .losses import LossConfig, correspondence_loss, pose_loss, total_loss
 from .synth import (PointSets, SynthConfig, generate_instance, load_instance,
                     oracle_cost, oracle_probability, save_instance)
 from .pipeline import (AlternationResult, PipelineConfig, PipelineResult,
-                       alternation_baseline, backward, solve)
+                       StageSeconds, alternation_baseline, backward, solve)
 
 __all__ = [
     "__version__",
@@ -51,6 +51,6 @@ __all__ = [
     "PointSets", "SynthConfig", "generate_instance", "save_instance",
     "load_instance", "oracle_cost", "oracle_probability",
     # pipeline
-    "PipelineConfig", "PipelineResult", "solve", "backward",
+    "PipelineConfig", "PipelineResult", "StageSeconds", "solve", "backward",
     "alternation_baseline", "AlternationResult",
 ]

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -180,34 +181,7 @@ def cmd_generate(args) -> int:
 
 
 # --------------------------------------------------------------------------
-# solve
-
-
-def _solve_one(task):
-    """Worker: solve one instance; returns a row dict (no exceptions)."""
-    path, args_dict = task
-    args = argparse.Namespace(**args_dict)
-    row = {"instance": _instance_id(path)}
-    try:
-        instance = load_instance(path)
-        row["m"], row["n"] = instance.m, instance.n
-        M = _cost_for(instance, path, args)
-        config = _pipeline_config(args)
-        result = solve(M, instance, config)
-        for prefix, pose in (("ransac", result.ransac_pose),
-                             ("refined", result.refined_pose)):
-            errs = pose_errors(pose, instance)
-            row[f"{prefix}_rotation_deg"] = errs["rotation_deg"]
-            row[f"{prefix}_translation"] = errs["translation"]
-            row[f"{prefix}_reprojection_deg"] = errs["reprojection_deg"]
-        row["sinkhorn_converged"] = result.plan.converged
-        row["refine_converged"] = result.refined.converged
-        row["low_inlier"] = result.diagnostics["low_inlier"]
-        row["runtime_seconds"] = result.diagnostics["total_seconds"]
-        row["error"] = ""
-    except (BlindPnpError, OSError, ValueError) as exc:
-        row["error"] = str(exc).replace("\n", " ")
-    return row
+# solve and benchmark: one row per instance, the solve.csv columns
 
 
 _SOLVE_COLUMNS = ["instance", "m", "n",
@@ -216,6 +190,79 @@ _SOLVE_COLUMNS = ["instance", "m", "n",
                   "refined_translation", "refined_reprojection_deg",
                   "sinkhorn_converged", "refine_converged", "low_inlier",
                   "runtime_seconds", "error"]
+_METHODS = ("refined", "ransac", "alternation")
+_METRICS = ("rotation_deg", "translation", "reprojection_deg")
+
+
+def _add_errors(row: dict, method: str, pose: Pose, instance) -> None:
+    for metric, value in pose_errors(pose, instance).items():
+        row[f"{method}_{metric}"] = value
+
+
+def _solve_instance(row: dict, path: str, args):
+    """Solve one instance into its solve.csv row; m and n go in first, so
+    an error row keeps them.  Returns the instance and its config."""
+    instance = load_instance(path)
+    row["m"], row["n"] = instance.m, instance.n
+    M = _cost_for(instance, path, args)
+    config = _pipeline_config(args)
+    result = solve(M, instance, config)
+    _add_errors(row, "ransac", result.ransac_pose, instance)
+    _add_errors(row, "refined", result.refined_pose, instance)
+    row["sinkhorn_converged"] = result.plan.converged
+    row["refine_converged"] = result.refined.converged
+    row["low_inlier"] = result.ransac_estimate.low_inlier
+    row["runtime_seconds"] = result.seconds.total
+    return instance, config
+
+
+def _benchmark_one(row: dict, instance: PointSets, config: PipelineConfig,
+                   args) -> None:
+    """Add the pose-prior alternation baseline's errors to the row."""
+    # deterministic perturbed initialization for the pose-prior baseline
+    rng = np.random.default_rng(int(instance.metadata.get("seed", 0)) + 991)
+    axis = rng.standard_normal(3)
+    axis /= np.linalg.norm(axis)
+    dr = log_so3(exp_so3(axis * np.radians(args.baseline_init_deg))
+                 @ instance.gt_pose.matrix())
+    init = Pose(dr, instance.gt_pose.t
+                + rng.standard_normal(3) * args.baseline_init_trans)
+    alt = alternation_baseline(instance, init, theta=args.theta,
+                               solver=config.solver, time_limit=args.time_limit)
+    _add_errors(row, "alternation", alt.pose, instance)
+
+
+def _instance_row(path: str, args, extend) -> dict:
+    """Worker: one instance's row; a failure fills the `error` column."""
+    row = {"instance": _instance_id(path)}
+    try:
+        instance, config = _solve_instance(row, path, args)
+        if extend is not None:
+            extend(row, instance, config, args)
+        row["error"] = ""
+    except (BlindPnpError, OSError, ValueError) as exc:
+        row["error"] = str(exc).replace("\n", " ")
+    return row
+
+
+def _map_instances(paths, args, extend=None) -> list[dict]:
+    """Rows of the instance files in order, each solved and then passed
+    to `extend(row, instance, config, args)`; --jobs N uses N processes."""
+    work = partial(_instance_row, args=args, extend=extend)
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            return list(pool.map(work, paths))
+    return [work(path) for path in paths]
+
+
+def _write_table(path: str, schema: str, header, rows) -> None:
+    """A CSV under a `# schema:` line; non-string values go through _fmt."""
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        fh.write(f"# schema: {schema}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
 
 
 def cmd_solve(args) -> int:
@@ -229,31 +276,13 @@ def cmd_solve(args) -> int:
         return _FAILURE_EXIT
     os.makedirs(args.out, exist_ok=True)
 
-    tasks = [(path, vars(args) | {"instances": None, "func": None})
-             for path in files]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_solve_one, tasks))
-    else:
-        rows = [_solve_one(t) for t in tasks]
-
+    rows = _map_instances(files, args)
     csv_path = os.path.join(args.out, "solve.csv")
-    with open(csv_path, "w", newline="", encoding="ascii") as fh:
-        fh.write(f"# schema: {SOLVE_SCHEMA}\n")
-        writer = csv.DictWriter(fh, fieldnames=_SOLVE_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            out = {}
-            for key in _SOLVE_COLUMNS:
-                value = row.get(key, "")
-                if isinstance(value, str):
-                    out[key] = value
-                else:
-                    out[key] = _fmt(value)
-            writer.writerow(out)
+    _write_table(csv_path, SOLVE_SCHEMA, _SOLVE_COLUMNS,
+                 [[row.get(key, "") for key in _SOLVE_COLUMNS] for row in rows])
 
-    failures = [r for r in rows if r.get("error")]
-    ok_rows = [r for r in rows if not r.get("error")]
+    failures = [r for r in rows if r["error"]]
+    ok_rows = [r for r in rows if not r["error"]]
     summary = {}
     if ok_rows:
         for key in ("refined_rotation_deg", "refined_translation"):
@@ -272,38 +301,6 @@ def cmd_solve(args) -> int:
     return _FAILURE_EXIT if failures else 0
 
 
-# --------------------------------------------------------------------------
-# benchmark
-
-
-def _benchmark_one(task):
-    path, args_dict = task
-    args = argparse.Namespace(**args_dict)
-    instance = load_instance(path)
-    M = _cost_for(instance, path, args)
-    config = _pipeline_config(args)
-    result = solve(M, instance, config)
-
-    # deterministic perturbed initialization for the pose-prior baseline
-    rng = np.random.default_rng(int(instance.metadata.get("seed", 0)) + 991)
-    axis = rng.standard_normal(3)
-    axis /= np.linalg.norm(axis)
-    dr = log_so3(exp_so3(axis * np.radians(args.baseline_init_deg))
-                 @ instance.gt_pose.matrix())
-    init = Pose(dr, instance.gt_pose.t
-                + rng.standard_normal(3) * args.baseline_init_trans)
-    alt = alternation_baseline(instance, init, theta=args.theta,
-                               solver=config.solver, time_limit=args.time_limit)
-
-    rows = {}
-    for method, pose in (("refined", result.refined_pose),
-                         ("ransac", result.ransac_pose),
-                         ("alternation", alt.pose)):
-        rows[method] = pose_errors(pose, instance)
-    runtime = result.diagnostics["total_seconds"]
-    return rows, runtime
-
-
 def cmd_benchmark(args) -> int:
     try:
         thresholds = [float(t) for t in args.thresholds.split(",")]
@@ -320,55 +317,39 @@ def cmd_benchmark(args) -> int:
         return _USAGE_EXIT
     os.makedirs(args.out, exist_ok=True)
 
-    tasks = [(path, vars(args) | {"func": None}) for path in files]
-    try:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                outputs = list(pool.map(_benchmark_one, tasks))
-        else:
-            outputs = [_benchmark_one(t) for t in tasks]
-    except (BlindPnpError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    rows = _map_instances(files, args, _benchmark_one)
+    failures = [r for r in rows if r["error"]]
+    for row in failures:
+        print(f"error: {row['instance']}: {row['error']}", file=sys.stderr)
+    if failures:
         return _FAILURE_EXIT
 
-    methods = ("refined", "ransac", "alternation")
-    metrics = ("rotation_deg", "translation", "reprojection_deg")
+    def column(method, metric):
+        return [row[f"{method}_{metric}"] for row in rows]
+
     bench_path = os.path.join(args.out, "benchmark.csv")
-    with open(bench_path, "w", newline="", encoding="ascii") as fh:
-        fh.write(f"# schema: {BENCHMARK_SCHEMA}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["method"]
-                        + [f"{m}_q{q}" for m in metrics for q in (1, 2, 3)])
-        for method in methods:
-            row = [method]
-            for metric in metrics:
-                q1, q2, q3 = quartiles([o[0][method][metric] for o in outputs])
-                row.extend([_fmt(q1), _fmt(q2), _fmt(q3)])
-            writer.writerow(row)
-
+    _write_table(bench_path, BENCHMARK_SCHEMA,
+                 ["method"] + [f"{m}_q{q}" for m in _METRICS for q in (1, 2, 3)],
+                 [[method] + [q for metric in _METRICS
+                              for q in quartiles(column(method, metric))]
+                  for method in _METHODS])
     recall_path = os.path.join(args.out, "recall.csv")
-    with open(recall_path, "w", newline="", encoding="ascii") as fh:
-        fh.write(f"# schema: {RECALL_SCHEMA}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["method"] + [f"rot_recall_{_fmt(t)}deg"
-                                      for t in thresholds])
-        for method in methods:
-            rot = [o[0][method]["rotation_deg"] for o in outputs]
-            writer.writerow([method] + [_fmt(v) for v in recall(rot, thresholds)])
-
+    _write_table(recall_path, RECALL_SCHEMA,
+                 ["method"] + [f"rot_recall_{_fmt(t)}deg" for t in thresholds],
+                 [[method] + recall(column(method, "rotation_deg"), thresholds)
+                  for method in _METHODS])
     # wall-clock measurements are not reproducible; they live here only
     timing_path = os.path.join(args.out, "timings.csv")
-    with open(timing_path, "w", newline="", encoding="ascii") as fh:
-        fh.write(f"# schema: {TIMING_SCHEMA}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["mean_pipeline_seconds"])
-        writer.writerow([_fmt(float(np.mean([o[1] for o in outputs])))])
+    _write_table(timing_path, TIMING_SCHEMA, ["mean_pipeline_seconds"],
+                 [[float(np.mean([r["runtime_seconds"] for r in rows]))]])
 
     _write_manifest(args.out, {
         "command": "benchmark",
         "config": {k: v for k, v in vars(args).items() if k != "func"},
         "instances": [_instance_id(f) for f in files],
         "thresholds_deg": thresholds,
+        "flag_counts": {key: sum(bool(r[key]) for r in rows) for key in
+                        ("sinkhorn_converged", "refine_converged", "low_inlier")},
     })
     print(f"wrote {bench_path}, {recall_path}, {timing_path}")
     return 0

@@ -4,7 +4,11 @@ Forward (`solve`): a cost matrix is turned into a correspondence
 probability matrix by the transport layer; the most probable candidate
 pairs seed a RANSAC + P3P + EPnP robust initializer; damped Newton on
 the exact pose Hessian then refines the probability-weighted alignment
-objective from that pose.
+objective from that pose.  The result keeps each layer's own record
+(`result.plan`, `result.ransac_estimate`, `result.refined`) and the
+stage wall times `result.seconds`, which `result.seconds.total` sums;
+`result.ransac_estimate.low_inlier` flags a robust start with fewer
+than four inlier pairs.
 
 Backward (`backward`): gradients flow through the two declarative
 stages only: the pose layer's implicit derivative maps a pose-loss
@@ -21,6 +25,7 @@ summary statistics that the command line reports.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,11 +57,26 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
+class StageSeconds:
+    """Wall time of each forward stage.  The values are differences of
+    consecutive `perf_counter` stamps, so the stages tile the call."""
+
+    transport: float
+    top_k: float
+    ransac: float
+    refine: float
+
+    @property
+    def total(self) -> float:
+        return self.transport + self.top_k + self.ransac + self.refine
+
+
+@dataclass(frozen=True)
 class PipelineResult:
     plan: TransportPlan
     ransac_estimate: RobustEstimate
     refined: PnPSolution
-    diagnostics: dict
+    seconds: StageSeconds
 
     @property
     def ransac_pose(self) -> Pose:
@@ -67,12 +87,22 @@ class PipelineResult:
         return self.refined.pose
 
 
+@contextmanager
+def _stage(name: str):
+    """Re-raise any error of the enclosed stage as StageError(name)."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+
+
 def solve(M, instance: PointSets, config: PipelineConfig | None = None
           ) -> PipelineResult:
     """Full forward pass from a cost matrix to both pose estimates.
 
     Deterministic given (M, instance, config) including the RANSAC seed.
-    Stage failures re-raise wrapped in StageError naming the stage.
+    Stage failures re-raise wrapped in StageError naming the stage:
+    `transport`, `ransac` (top-k selection included) or `refine`.
     """
     config = config or PipelineConfig()
     M = np.asarray(M, dtype=np.float64)
@@ -80,53 +110,30 @@ def solve(M, instance: PointSets, config: PipelineConfig | None = None
         raise ValidationError(
             f"cost matrix shape {M.shape} does not match instance "
             f"({instance.m}, {instance.n})")
-    diag: dict = {}
-
-    t0 = time.perf_counter()
-    try:
+    stamps = [time.perf_counter()]
+    with _stage("transport"):
         plan = sinkhorn_forward(M, mu=config.mu, tol=config.sinkhorn_tol,
                                 max_iterations=config.sinkhorn_max_iterations,
                                 anneal=config.sinkhorn_anneal)
-    except Exception as exc:
-        raise StageError("transport", exc) from exc
-    diag["sinkhorn_seconds"] = time.perf_counter() - t0
-    diag["sinkhorn_iterations"] = plan.iterations
-    diag["sinkhorn_converged"] = plan.converged
-    diag["sinkhorn_residual"] = plan.residual
-
-    t0 = time.perf_counter()
-    try:
+    stamps.append(time.perf_counter())
+    with _stage("ransac"):
         k = candidate_count(instance.m, instance.n, config.k_factor)
         rows, cols, values = top_k_select(plan.P, k)
-        t1 = time.perf_counter()
+        stamps.append(time.perf_counter())
         candidates = CandidateSet(
             pairs=np.stack([rows, cols], axis=1), weights=values,
             bearings=instance.bearings, points=instance.points)
         estimate = ransac_p3p(candidates, config.ransac)
-    except Exception as exc:
-        raise StageError("ransac", exc) from exc
-    diag["top_k_seconds"] = t1 - t0
-    diag["ransac_seconds"] = time.perf_counter() - t1
-    diag["ransac_iterations"] = estimate.iterations_used
-    diag["ransac_inliers"] = int(estimate.inliers.shape[0])
-    diag["low_inlier"] = estimate.inliers.shape[0] < 4 or not estimate.found_pose
-
-    t0 = time.perf_counter()
-    try:
+    stamps.append(time.perf_counter())
+    with _stage("refine"):
         problem = PnPProblem(bearings=instance.bearings,
                              points=instance.points, weights=plan.P,
                              init=estimate.pose)
         refined = pnp_solve(problem, config.solver)
-    except Exception as exc:
-        raise StageError("refine", exc) from exc
-    diag["refine_seconds"] = time.perf_counter() - t0
-    diag["refine_iterations"] = refined.iterations
-    diag["refine_converged"] = refined.converged
-    diag["total_seconds"] = (diag["sinkhorn_seconds"] + diag["top_k_seconds"]
-                             + diag["ransac_seconds"]
-                             + diag["refine_seconds"])
+    stamps.append(time.perf_counter())
+    seconds = StageSeconds(*(b - a for a, b in zip(stamps, stamps[1:])))
     return PipelineResult(plan=plan, ransac_estimate=estimate, refined=refined,
-                          diagnostics=diag)
+                          seconds=seconds)
 
 
 def backward(result: PipelineResult, instance: PointSets,
@@ -135,7 +142,8 @@ def backward(result: PipelineResult, instance: PointSets,
 
     The pose path goes through the refined solution's implicit
     derivative; a zero pose gradient skips it, and the transport layer
-    then receives only the direct term.
+    then receives only the direct term.  Failures re-raise as
+    StageError `refine-backward` or `transport-backward`.
     """
     grad_P = np.asarray(grad_P, dtype=np.float64)
     grad_pose = np.asarray(grad_pose, dtype=np.float64).reshape(6)
@@ -144,14 +152,10 @@ def backward(result: PipelineResult, instance: PointSets,
         problem = PnPProblem(bearings=instance.bearings,
                              points=instance.points, weights=result.plan.P,
                              init=result.ransac_estimate.pose)
-        try:
+        with _stage("refine-backward"):
             total = grad_P + pnp_vjp(problem, result.refined, grad_pose)
-        except Exception as exc:
-            raise StageError("refine-backward", exc) from exc
-    try:
+    with _stage("transport-backward"):
         return sinkhorn_vjp(None, result.plan, config.mu, total)
-    except Exception as exc:
-        raise StageError("transport-backward", exc) from exc
 
 
 @dataclass(frozen=True)

@@ -406,6 +406,12 @@ class RobustEstimate:
     found_pose: bool             # False when no hypothesis scored any inlier
     hypothesis_count: int = 0    # inliers of the best minimal hypothesis
 
+    @property
+    def low_inlier(self) -> bool:
+        """No hypothesis scored an inlier, or the one-to-one inliers are
+        fewer than the 4 pairs that `ransac_p3p` refits with EPnP."""
+        return self.inliers.shape[0] < 4 or not self.found_pose
+
 
 def _candidate_angles(fc: np.ndarray, pc: np.ndarray, R: np.ndarray,
                       t: np.ndarray) -> np.ndarray:

@@ -49,6 +49,13 @@ _STATIONARITY_TOL = 1e-6  # |grad| above which a pose is not an optimum
 _MAX_CONDITION = 1e12  # pose Hessian condition number the backward accepts
 
 
+def _conditioning(H: np.ndarray, active: np.ndarray):
+    """(condition number, singular) of the pose Hessian.  Fewer than 3
+    points with weight fix at most 4 of the 6 pose coordinates: inf."""
+    cond = float(np.linalg.cond(H)) if np.count_nonzero(active) >= 3 else np.inf
+    return cond, not cond <= _MAX_CONDITION
+
+
 @dataclass(frozen=True)
 class SparseWeights:
     """Weights over an explicit pair list (the performance path)."""
@@ -403,9 +410,9 @@ def pnp_second_order(problem: PnPProblem, pose: Pose) -> SecondOrderData:
         pairs = np.indices(problem.shape).reshape(2, -1).T
     B = -np.stack([_pair_products(problem, x, e).ravel() for e in np.eye(6)],
                   axis=1)
-    cond = float(np.linalg.cond(H))
+    cond, singular = _conditioning(H, active)
     return SecondOrderData(H=H, B=B, pairs=pairs, condition_number=cond,
-                           singular=not np.isfinite(cond) or cond > _MAX_CONDITION)
+                           singular=singular)
 
 
 def pnp_vjp(problem: PnPProblem, solution: PnPSolution, grad_pose):
@@ -424,8 +431,8 @@ def pnp_vjp(problem: PnPProblem, solution: PnPSolution, grad_pose):
     w, s, active = _collapse_weights(problem)
     x = solution.pose.canonical().as_vector()
     H = _hessian(w, s, problem.points, x, active)
-    cond = float(np.linalg.cond(H))
-    if not np.isfinite(cond) or cond > _MAX_CONDITION:
+    cond, singular = _conditioning(H, active)
+    if singular:
         raise SingularHessianError(
             f"pose Hessian condition number {cond:.3e} exceeds {_MAX_CONDITION:.0e}",
             condition_number=cond)

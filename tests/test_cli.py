@@ -158,6 +158,25 @@ class TestBenchmark:
         assert (a / "recall.csv").read_bytes() \
             == (b / "recall.csv").read_bytes()
 
+    @pytest.mark.parametrize("flags", [
+        [], ["--sharpness", "1", "--cost-noise", "0.3", "--mu", "0.01"],
+        ["--ransac-iterations", "1", "--refine-iterations", "1"]])
+    def test_manifest_counts_match_solve_flags(self, dataset, tmp_path,
+                                               flags):
+        assert run_cli(["solve", str(dataset), "--out", str(tmp_path / "s")]
+                       + flags) == 0
+        assert run_cli(["benchmark", "--dataset", str(dataset),
+                        "--out", str(tmp_path / "b")] + flags) == 0
+        lines = (tmp_path / "s" / "solve.csv").read_text().splitlines()
+        header = lines[1].split(",")
+        rows = [line.split(",") for line in lines[2:]]
+        counts = json.loads(
+            (tmp_path / "b" / "manifest.json").read_text())["flag_counts"]
+        assert counts == {key: sum(row[header.index(key)] == "1"
+                                   for row in rows)
+                          for key in ("sinkhorn_converged",
+                                      "refine_converged", "low_inlier")}
+
     def test_refine_flags_reach_alternation_baseline(self, tmp_path):
         # noisy pixels, so the baseline's refinements take several steps
         data = tmp_path / "noisy"
@@ -183,6 +202,14 @@ class TestBenchmark:
                         "--out", str(out), "--thresholds", thresholds]) == 1
         assert "--thresholds" in capsys.readouterr().err
         assert not out.exists()  # rejected before any instance was solved
+
+    def test_failed_instance_fails_benchmark(self, dataset, tmp_path, capsys):
+        (dataset / "instance_9999999.txt").write_text("not an instance\n")
+        out = tmp_path / "o"
+        assert run_cli(["benchmark", "--dataset", str(dataset),
+                        "--out", str(out)]) == 2
+        assert "instance_9999999" in capsys.readouterr().err
+        assert not (out / "benchmark.csv").exists()
 
     def test_empty_dataset_rejected(self, tmp_path):
         empty = tmp_path / "empty"

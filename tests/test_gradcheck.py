@@ -107,6 +107,15 @@ class TestSizes:
         result = check(seeds=range(2), m=2, n=2)
         assert result.cases == 2
 
+    @pytest.mark.parametrize("check", [check_pnp_second_order, check_pnp_vjp])
+    def test_two_points_are_expected_singular(self, check):
+        # two bearings fix only 4 of the 6 pose coordinates; an arbitrary
+        # null-space gradient must not be compared against the re-solve
+        result = check(seeds=range(10), m=2, n=2)
+        assert result.passed
+        assert len(result.notes) == 10
+        assert all("expected-singular" in note for note in result.notes)
+
 
 def test_all_checks_registry_complete():
     assert set(ALL_CHECKS) == {"sinkhorn_vjp", "pnp_gradient",

@@ -1,17 +1,21 @@
 """End-to-end composition: forward recovery, chained backward, the
 alternation baseline, and the metrics helpers."""
 
+from dataclasses import astuple, fields
+
 import numpy as np
 import pytest
 
-from blindpnp.errors import StageError, ValidationError
+from blindpnp.errors import NumericalError, StageError, ValidationError
 from blindpnp.geometry import Pose, geodesic_rotation_angle, translation_error
 from blindpnp.losses import correspondence_loss, pose_loss
-from blindpnp.pipeline import (PipelineConfig, alternation_baseline, backward,
-                               quartiles, recall, solve)
+from blindpnp.pipeline import (PipelineConfig, StageSeconds,
+                               alternation_baseline, backward, quartiles,
+                               recall, solve)
 from blindpnp.pose_solvers import RansacConfig
 from blindpnp.synth import SynthConfig, generate_instance, oracle_cost
 from blindpnp.transport import sinkhorn_vjp
+from blindpnp.weighted_pnp import PnPSolverConfig
 
 SEEDED = PipelineConfig(ransac=RansacConfig(seed=0))
 
@@ -28,7 +32,7 @@ class TestForward:
         assert geodesic_rotation_angle(result.refined_pose.matrix(),
                                        inst.gt_pose.matrix()) <= 2e-5 * np.pi / 180
         assert translation_error(result.refined_pose.t, inst.gt_pose.t) <= 1e-5
-        assert not result.diagnostics["low_inlier"]
+        assert not result.ransac_estimate.low_inlier
 
     def test_deterministic(self):
         inst = noiseless_instance(seed=3)
@@ -41,20 +45,12 @@ class TestForward:
 
     def test_stage_times_sum_to_total(self):
         inst = noiseless_instance(n=30, seed=5)
-        diag = solve(oracle_cost(inst, 5.0), inst, SEEDED).diagnostics
-        stages = [diag[key] for key in ("sinkhorn_seconds", "top_k_seconds",
-                                        "ransac_seconds", "refine_seconds")]
-        assert all(seconds >= 0.0 for seconds in stages)
-        assert diag["total_seconds"] == sum(stages)
-
-    def test_transport_report_recorded(self):
-        inst = generate_instance(SynthConfig(n_points=40, seed=6))
-        result = solve(oracle_cost(inst, 1.0, noise_sigma=0.3, seed=6), inst,
-                       SEEDED)
-        diag, plan = result.diagnostics, result.plan
-        assert diag["sinkhorn_iterations"] == plan.iterations > 1
-        assert diag["sinkhorn_converged"] is plan.converged is True
-        assert diag["sinkhorn_residual"] == plan.residual <= 1e-9
+        seconds = solve(oracle_cost(inst, 5.0), inst, SEEDED).seconds
+        assert [f.name for f in fields(StageSeconds)] \
+            == ["transport", "top_k", "ransac", "refine"]
+        stages = astuple(seconds)
+        assert all(value >= 0.0 for value in stages)
+        assert seconds.total == sum(stages)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_default_refine_converges_on_sharp_plan(self, seed):
@@ -67,7 +63,7 @@ class TestForward:
     def test_uniform_cost_degrades_gracefully(self):
         inst = noiseless_instance(n=30, seed=5)
         result = solve(np.ones((30, 30)), inst, SEEDED)
-        assert result.diagnostics["low_inlier"]
+        assert result.ransac_estimate.low_inlier
 
     def test_shape_mismatch_rejected(self):
         inst = noiseless_instance(n=10, seed=5)
@@ -82,8 +78,52 @@ class TestForward:
             solve(oracle_cost(inst, 5.0), inst, bad)
         assert err.value.stage == "ransac"
 
+    def test_nan_cost_is_a_transport_error(self):
+        inst = noiseless_instance(n=10, seed=5)
+        M = oracle_cost(inst, 5.0)
+        M[3, 4] = np.nan
+        with pytest.raises(StageError) as err:
+            solve(M, inst, SEEDED)
+        assert err.value.stage == "transport"
+
+    def test_refine_failure_is_a_refine_error(self, monkeypatch):
+        def failing_pnp_solve(problem, config):
+            raise NumericalError("injected")
+
+        monkeypatch.setattr("blindpnp.pipeline.pnp_solve", failing_pnp_solve)
+        inst = noiseless_instance(n=10, seed=5)
+        with pytest.raises(StageError) as err:
+            solve(oracle_cost(inst, 5.0), inst, SEEDED)
+        assert err.value.stage == "refine"
+        assert isinstance(err.value.original, NumericalError)
+
 
 class TestBackward:
+    @staticmethod
+    def _noisy_case(config):
+        inst = generate_instance(SynthConfig(n_points=40, seed=6))
+        M = oracle_cost(inst, 1.0, noise_sigma=0.3, seed=6)
+        return inst, solve(M, inst, config)
+
+    def test_unconverged_refine_is_a_refine_backward_error(self):
+        config = PipelineConfig(ransac=RansacConfig(seed=0),
+                                solver=PnPSolverConfig(max_iterations=0))
+        inst, result = self._noisy_case(config)
+        with pytest.raises(StageError) as err:
+            backward(result, inst, config, np.zeros((40, 40)), np.ones(6))
+        assert err.value.stage == "refine-backward"
+        assert "did not converge" in str(err.value)
+
+    def test_unconverged_plan_is_a_transport_backward_error(self):
+        config = PipelineConfig(ransac=RansacConfig(seed=0),
+                                sinkhorn_max_iterations=1)
+        inst, result = self._noisy_case(config)
+        assert not result.plan.converged
+        with pytest.raises(StageError) as err:
+            backward(result, inst, config, np.ones((40, 40)), np.zeros(6))
+        assert err.value.stage == "transport-backward"
+        assert "did not converge" in str(err.value)
+
     def _case(self):
         inst = generate_instance(SynthConfig(n_points=8, seed=2,
                                              pixel_noise_sigma=0.5))

@@ -622,6 +622,17 @@ class TestVJP:
             pnp_vjp(problem, fake, np.ones(6))
         assert err.value.condition_number > 1e12
 
+    def test_two_points_are_singular(self, rng):
+        # two bearings fix only 4 of the 6 pose coordinates, but rounding
+        # can leave the Hessian's condition number below the 1e12 bound
+        problem, _ = concentrated_problem(rng, m=2, n=2)
+        solution = pnp_solve(problem, TIGHT)
+        assert solution.converged
+        with pytest.raises(SingularHessianError) as err:
+            pnp_vjp(problem, solution, rng.standard_normal(6))
+        assert err.value.condition_number == np.inf
+        assert pnp_second_order(problem, solution.pose).singular
+
 
 class TestSolverPathIndependence:
     def test_vjp_agnostic_to_iteration_budget(self, rng):
