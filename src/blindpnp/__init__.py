@@ -13,8 +13,8 @@ from .geometry import (Pose, angular_reprojection_error, exp_so3,
 from .assignment import (correspondences_from_pose, hungarian, one_to_one,
                          top_k_select)
 from .transport import TransportPlan, sinkhorn_forward, sinkhorn_vjp
-from .pose_solvers import (CandidateSet, RansacConfig, RobustEstimate, epnp,
-                           p3p, ransac_p3p)
+from .pose_solvers import (CandidateSet, RansacConfig, RobustEstimate, p3p,
+                           ransac_p3p)
 from .weighted_pnp import (PnPProblem, PnPSolution, PnPSolverConfig,
                            SecondOrderData, SparseWeights, pnp_objective,
                            pnp_second_order, pnp_solve, pnp_vjp)
@@ -39,7 +39,7 @@ __all__ = [
     # transport
     "TransportPlan", "sinkhorn_forward", "sinkhorn_vjp",
     # pose solvers
-    "p3p", "epnp", "ransac_p3p", "CandidateSet", "RansacConfig",
+    "p3p", "ransac_p3p", "CandidateSet", "RansacConfig",
     "RobustEstimate",
     # weighted pose layer
     "PnPProblem", "PnPSolution", "PnPSolverConfig", "SecondOrderData",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import Pose, ray_angles, transform_points
+from .geometry import Pose, _pairs_array, ray_angles, transform_points
 
 # Stand-in cost for the pairs absent from a conflict sub-matrix; far above
 # any angle (at most pi), so a matching that can avoid a sentinel will.
@@ -115,7 +115,7 @@ def one_to_one(pairs, costs) -> np.ndarray:
     Where costs tie exactly, the pairing kept may differ from the dense
     matrix's; the pair count and the total cost do not.
     """
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = _pairs_array(pairs)
     costs = np.asarray(costs, dtype=np.float64).reshape(-1)
     if costs.shape[0] != pairs.shape[0]:
         raise ValidationError(

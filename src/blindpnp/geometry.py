@@ -308,7 +308,18 @@ def ray_angles(bearings, directions, exact: bool = False,
     return ang
 
 
+def check_bearings_and_points(bearings: np.ndarray, points: np.ndarray) -> None:
+    """Reject bearings that are not finite unit vectors and points that
+    are not finite."""
+    # a NaN norm fails the <= test
+    if not np.all(np.abs(np.linalg.norm(bearings, axis=-1) - 1.0) <= 1e-9):
+        raise ValidationError("bearings must be finite unit vectors")
+    if not np.isfinite(points).all():
+        raise ValidationError("points must be finite")
+
+
 def _pairs_array(pairs) -> np.ndarray:
+    """A (k, 2) int64 pair array; empty input of any shape gives (0, 2)."""
     p = np.asarray(pairs, dtype=np.int64)
     if p.size == 0:
         return p.reshape(0, 2)

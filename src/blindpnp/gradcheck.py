@@ -178,7 +178,7 @@ def check_pnp_second_order(seeds=range(10), tol: float = 1e-5,
         Hfd = np.stack([_central(gradient, x, k, fd_step) for k in range(6)],
                        axis=1)
         picks = np.random.default_rng(seed + 2).choice(
-            P.size, size=min(6, P.size), replace=False)
+            P.size, size=6, replace=False)
         return [(data.H, Hfd)] + [
             (data.B[flat], _central(gradient_at_weights, P,
                                     np.unravel_index(flat, P.shape), fd_step))

@@ -2,7 +2,7 @@
 
 Forward (`solve`): a cost matrix is turned into a correspondence
 probability matrix by the transport layer; the most probable candidate
-pairs seed a RANSAC + P3P + EPnP robust initializer; damped Newton on
+pairs seed a RANSAC + P3P robust initializer; damped Newton on
 the exact pose Hessian then refines the probability-weighted alignment
 objective from that pose.  The result keeps each layer's own record
 (`result.plan`, `result.ransac_estimate`, `result.refined`) and the
@@ -35,7 +35,7 @@ from .errors import StageError, ValidationError
 from .geometry import (Pose, angular_reprojection_error,
                        geodesic_rotation_angle, translation_error)
 from .losses import LossConfig
-from .pose_solvers import CandidateSet, RansacConfig, RobustEstimate, ransac_p3p, epnp
+from .pose_solvers import CandidateSet, RansacConfig, RobustEstimate, ransac_p3p
 from .synth import PointSets
 from .transport import TransportPlan, sinkhorn_forward, sinkhorn_vjp
 from .weighted_pnp import (PnPProblem, PnPSolution, PnPSolverConfig,
@@ -173,9 +173,9 @@ def alternation_baseline(instance: PointSets, init: Pose, theta: float,
     pose refitting until the pair set stabilizes, for at most 50 rounds.
 
     Each round thresholds the angular error at the current pose, makes
-    the pairs one-to-one, then refits with EPnP followed by uniform-
-    weight nonlinear refinement.  No accuracy contract far from the
-    basin of attraction.
+    the pairs one-to-one, then refits the pose to them with uniform
+    weights by `pnp_solve`, starting from the current pose.  No accuracy
+    contract far from the basin of attraction.
     """
     solver = solver or PnPSolverConfig()
     pose = init
@@ -192,11 +192,6 @@ def alternation_baseline(instance: PointSets, init: Pose, theta: float,
             return AlternationResult(pose=pose, rounds=round_no, stalled=False,
                                      correspondences=pairs)
         prev_pairs = pairs
-        try:
-            pose = epnp(instance.bearings[pairs[:, 0]],
-                        instance.points[pairs[:, 1]])
-        except Exception:
-            pass  # keep the previous pose as the nonlinear starting point
         values = np.full(pairs.shape[0], 1.0 / pairs.shape[0])
         problem = PnPProblem(bearings=instance.bearings,
                              points=instance.points,

@@ -1,19 +1,16 @@
-"""Minimal and linear pose solvers plus the robust initializer.
+"""The minimal pose solver and the robust initializer.
 
 * `p3p` solves the three-point pose problem: reduce the three
   law-of-cosines equations to a quartic, polish each root with Newton
   iterations on the original trilateration system, and lift the camera-
   frame points to a pose by rigid alignment.  Up to four solutions.
-* `epnp` is the control-point linear solver.  Constraints are written
-  with the bearing cross product, f x (sum_k alpha_k x_k) = 0, so image
-  points never need to be dehomogenized.  Handles planar point sets with
-  a three-control-point basis.
 * `ransac_p3p` runs P3P hypotheses over weighted candidate pairs (three
   points per sample plus one disambiguating pair), scores by angular
-  inlier count, early-exits on the usual confidence bound, and refines
-  the best one-to-one inlier set with EPnP.  Hypotheses are solved,
-  probed and scored a batch of samples at a time; `p3p` is a batch of
-  one through the same solver.
+  inlier count, early-exits on the usual confidence bound, and refits
+  the best one-to-one inlier set with the uniformly weighted pose layer
+  (`weighted_pnp.pnp_solve`) from the best hypothesis.  Hypotheses are
+  solved, probed and scored a batch of samples at a time; `p3p` is a
+  batch of one through the same solver.
 """
 
 from __future__ import annotations
@@ -24,8 +21,9 @@ import numpy as np
 
 from .assignment import one_to_one
 from .errors import DegenerateGeometryError, NumericalError, ValidationError
-from .geometry import (Pose, check_pairs_in_range, log_so3, ray_angles,
-                       transform_points)
+from .geometry import (Pose, _pairs_array, check_bearings_and_points,
+                       check_pairs_in_range, log_so3, ray_angles)
+from .weighted_pnp import PnPProblem, SparseWeights, pnp_solve
 
 _COLLINEAR_DIST = 1e-9
 _COLLINEAR_AREA = 1e-12
@@ -191,16 +189,16 @@ def p3p(bearings, points) -> list[Pose]:
     """Camera poses consistent with three bearing/point correspondences.
 
     Returns up to four poses; each reprojects the three points onto the
-    three bearings essentially exactly.  Raises DegenerateGeometryError
-    for collinear or coincident points.  An empty list means the quartic
-    has no usable real root.
+    three bearings essentially exactly.  Raises ValidationError for
+    bearings that are not unit vectors or points that are not finite,
+    and DegenerateGeometryError for collinear or coincident points.  An
+    empty list means the quartic has no usable real root.
     """
     f = np.asarray(bearings, dtype=np.float64)
     p = np.asarray(points, dtype=np.float64)
     if f.shape != (3, 3) or p.shape != (3, 3):
         raise ValidationError("p3p expects three bearings and three points")
-    if np.any(np.abs(np.linalg.norm(f, axis=1) - 1.0) > 1e-9):
-        raise ValidationError("bearings must be unit vectors")
+    check_bearings_and_points(f, p)
     coincident, collinear = _minimal_degeneracy(p)
     if coincident:
         raise DegenerateGeometryError("three-point set has coincident points")
@@ -208,149 +206,6 @@ def p3p(bearings, points) -> list[Pose]:
         raise DegenerateGeometryError("three-point set is collinear")
     R, t, ok = _p3p_batch(f[None], p[None])
     return [Pose(log_so3(Rs), ts) for Rs, ts in zip(R[ok], t[ok])]
-
-
-def _control_points(points: np.ndarray):
-    """PCA control-point basis; three points when the set is planar."""
-    centroid = points.mean(axis=0)
-    centered = points - centroid
-    cov = centered.T @ centered / points.shape[0]
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1]
-    scales = np.sqrt(np.maximum(eigvals[order], 0.0))
-    eigvecs = eigvecs[:, order]
-    planar = scales[2] <= 1e-9 * max(scales[0], 1e-300)
-    ctrl = [centroid] + [centroid + scales[a] * eigvecs[:, a]
-                         for a in range(2 if planar else 3)]
-    return np.asarray(ctrl), planar
-
-
-def _barycentric(points: np.ndarray, ctrl: np.ndarray) -> np.ndarray:
-    """Coefficients alpha with sum 1 and sum_k alpha_k c_k = p."""
-    k = ctrl.shape[0]
-    A = np.vstack([ctrl.T, np.ones(k)])            # 4 x k
-    B = np.vstack([points.T, np.ones(points.shape[0])])  # 4 x n
-    if k == 4:
-        return np.linalg.solve(A, B).T
-    sol, *_ = np.linalg.lstsq(A, B, rcond=None)
-    return sol.T
-
-
-def _betas_from_distances(V: np.ndarray, ctrl: np.ndarray,
-                          n_basis: int) -> np.ndarray | None:
-    """Initial basis coefficients from control-point distance preservation.
-
-    V has shape (n_basis, k, 3): null-space basis vectors reshaped to
-    camera control points.  Solves the linearized system in the products
-    beta_a beta_b, then extracts a consistent sign pattern.
-    """
-    i, j = np.triu_indices(ctrl.shape[0], 1)       # control-point pairs
-    dv = np.ascontiguousarray(V[:, i] - V[:, j])  # (n_basis, npairs, 3)
-    dc = np.array([np.linalg.norm(d) for d in ctrl[i] - ctrl[j]])
-
-    if n_basis == 1:
-        num = float(np.sum(np.linalg.norm(dv[0], axis=1) * dc))
-        den = float(np.sum(np.sum(dv[0] * dv[0], axis=1)))
-        if den <= 0:
-            return None
-        return np.array([num / den])
-
-    # unknowns: products beta_a * beta_b for a <= b
-    prods = [(a, b) for a in range(n_basis) for b in range(a, n_basis)]
-    L = np.zeros((dc.size, len(prods)))
-    for row in range(dc.size):
-        for col, (a, b) in enumerate(prods):
-            fac = 1.0 if a == b else 2.0
-            L[row, col] = fac * float(dv[a, row] @ dv[b, row])
-    sol, *_ = np.linalg.lstsq(L, dc**2, rcond=None)
-    b0 = np.sqrt(abs(sol[0]))  # prods begins (0, 0), (0, 1), (0, 2)
-    if b0 == 0:
-        return None
-    return np.concatenate([[b0], sol[1:n_basis] / b0])
-
-
-def _refine_betas(betas: np.ndarray, V: np.ndarray, ctrl: np.ndarray,
-                  iterations: int = 10) -> np.ndarray:
-    """Gauss-Newton on the control-point distance residuals."""
-    i, j = np.triu_indices(ctrl.shape[0], 1)
-    dc2 = np.sum((ctrl[i] - ctrl[j]) ** 2, axis=1)
-    dv = np.ascontiguousarray(V[:, i] - V[:, j])
-    for _ in range(iterations):
-        diff = np.einsum("i,ipx->px", betas, dv)
-        resid = np.sum(diff * diff, axis=1) - dc2
-        J = 2.0 * np.einsum("px,ipx->pi", diff, dv)
-        try:
-            step, *_ = np.linalg.lstsq(J, resid, rcond=None)
-        except np.linalg.LinAlgError:
-            break
-        betas = betas - step
-        if np.max(np.abs(resid)) < 1e-14 * max(dc2.max(), 1.0):
-            break
-    return betas
-
-
-def _epnp_design(f: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """The (3n, 3k) EPnP system: pair i contributes skew(f_i) applied to
-    sum_a alpha_ia x_a = 0, block (i, a) being alpha_ia skew(f_i)."""
-    S = np.zeros((f.shape[0], 3, 3))
-    S[:, [2, 0, 1], [1, 2, 0]] = f
-    S[:, [1, 2, 0], [2, 0, 1]] = -f
-    M = alphas[:, None, :, None] * S[:, :, None, :]
-    return M.reshape(3 * f.shape[0], 3 * alphas.shape[1])
-
-
-def epnp(bearings, points) -> Pose:
-    """Linear pose from four or more 2D-3D correspondences.
-
-    Expresses each point in a control-point basis, solves the bearing
-    cross-product constraints for the camera-frame control points, and
-    recovers the pose by rigid alignment.  Candidate null-space
-    dimensions 1..3 are tried (1..2 for planar sets) with Gauss-Newton
-    refinement of the basis coefficients; the candidate with the lowest
-    mean angular residual wins.
-    """
-    f = np.asarray(bearings, dtype=np.float64)
-    p = np.asarray(points, dtype=np.float64)
-    if f.ndim != 2 or f.shape != (p.shape[0], 3) or p.shape[1] != 3:
-        raise ValidationError("bearings and points must be matching (k, 3) arrays")
-    npts = p.shape[0]
-    if npts < 4:
-        raise ValidationError(f"epnp needs at least 4 pairs, got {npts}")
-
-    ctrl, planar = _control_points(p)
-    k = ctrl.shape[0]
-    alphas = _barycentric(p, ctrl)
-
-    M = _epnp_design(f, alphas)
-    _, eigvecs = np.linalg.eigh(M.T @ M)
-    max_basis = 2 if planar else 3
-    V = eigvecs[:, :max_basis].T.reshape(max_basis, k, 3)
-
-    best_pose, best_err = None, np.inf
-    for n_basis in range(1, max_basis + 1):
-        betas = _betas_from_distances(V[:n_basis], ctrl, n_basis)
-        if betas is None:
-            continue
-        betas = _refine_betas(betas, V[:n_basis], ctrl)
-        x = np.einsum("i,ikx->kx", betas, V[:n_basis])
-        cam = alphas @ x
-        # resolve the global sign so points sit in front of the camera
-        if float(np.sum(np.sum(f * cam, axis=1))) < 0:
-            cam = -cam
-        scale = np.linalg.norm(cam)
-        if not np.isfinite(scale) or scale < 1e-12:
-            continue
-        try:
-            R, t = _rigid_align(p, cam)
-            pose = Pose(log_so3(R), t)
-        except (ValidationError, np.linalg.LinAlgError):
-            continue
-        err = float(np.mean(ray_angles(f, transform_points(pose, p))))
-        if err < best_err:
-            best_err, best_pose = err, pose
-    if best_pose is None:
-        raise NumericalError("epnp control-point system is degenerate")
-    return best_pose
 
 
 @dataclass(frozen=True)
@@ -363,7 +218,7 @@ class CandidateSet:
     points: np.ndarray         # (n, 3)
 
     def __post_init__(self):
-        pairs = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
+        pairs = _pairs_array(self.pairs)
         weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "weights", weights)
@@ -390,7 +245,7 @@ class RansacConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.inlier_threshold <= 0:
+        if not self.inlier_threshold > 0:  # NaN fails too
             raise ValidationError("inlier threshold must be positive")
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be at least 1")
@@ -409,7 +264,7 @@ class RobustEstimate:
     @property
     def low_inlier(self) -> bool:
         """No hypothesis scored an inlier, or the one-to-one inliers are
-        fewer than the 4 pairs that `ransac_p3p` refits with EPnP."""
+        fewer than the 4 pairs that `ransac_p3p` refits."""
         return self.inliers.shape[0] < 4 or not self.found_pose
 
 
@@ -453,19 +308,20 @@ def ransac_p3p(candidates: CandidateSet, config: RansacConfig) -> RobustEstimate
     Scoring counts candidates within the angular threshold (many-to-one
     allowed); the final inlier set is made one-to-one on angular cost
     by `one_to_one`, where only the inliers that share a bearing or a
-    point go through the Hungarian step, and refined with EPnP when it
-    has four or more pairs.  Hypotheses are evaluated _BATCH samples at
-    a time, then taken in sample order under the confidence bound, so
-    the result is that of one sample at a time.  Deterministic for a
-    fixed seed.
+    point go through the Hungarian step.  When it has four or more
+    pairs, `pnp_solve` refits the pose to them with uniform weights,
+    descending from the best hypothesis; a NumericalError there keeps
+    the hypothesis.  Hypotheses are evaluated _BATCH samples at a time,
+    then taken in sample order under the confidence bound, so the
+    result is that of one sample at a time.  Deterministic for a fixed
+    seed.
     """
     k = len(candidates)
     if k < 4:
         raise ValidationError(f"ransac needs at least 4 candidates, got {k}")
     fc = candidates.bearings[candidates.pairs[:, 0]]
     pc = candidates.points[candidates.pairs[:, 1]]
-    if np.any(np.abs(np.linalg.norm(fc, axis=1) - 1.0) > 1e-9):
-        raise ValidationError("bearings must be unit vectors")
+    check_bearings_and_points(fc, pc)
     rng = np.random.default_rng(config.seed)
     thr = config.inlier_threshold
 
@@ -501,11 +357,15 @@ def ransac_p3p(candidates: CandidateSet, config: RansacConfig) -> RobustEstimate
     inliers = one_to_one(candidates.pairs[passing], angles[passing])
     pose = best_pose
     if inliers.shape[0] >= 4:
+        own = np.arange(inliers.shape[0])  # pair i: bearing i, point i
+        weights = SparseWeights(pairs=np.stack([own, own], 1),
+                                values=np.full(own.size, 1.0 / own.size))
         try:
-            pose = epnp(candidates.bearings[inliers[:, 0]],
-                        candidates.points[inliers[:, 1]])
-        except (NumericalError, ValidationError):
-            pose = best_pose  # keep the minimal-solver estimate
+            pose = pnp_solve(PnPProblem(candidates.bearings[inliers[:, 0]],
+                                        candidates.points[inliers[:, 1]],
+                                        weights, best_pose)).pose
+        except NumericalError:
+            pass  # keep the minimal-solver estimate
     return RobustEstimate(pose=pose, inliers=inliers, iterations_used=it,
                           found_pose=best_count > 0,
                           hypothesis_count=best_count)

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, SingularHessianError, ValidationError
-from .geometry import (Pose, canonicalize_angle_axis, check_pairs_in_range,
+from .geometry import (Pose, _pairs_array, canonicalize_angle_axis,
+                       check_bearings_and_points, check_pairs_in_range,
                        so3_exp_and_derivatives)
 
 _CS_STEP = 1e-20  # complex-step size; no subtractive cancellation
@@ -64,7 +65,7 @@ class SparseWeights:
     values: np.ndarray   # (k,) floats
 
     def __post_init__(self):
-        pairs = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
+        pairs = _pairs_array(self.pairs)
         values = np.asarray(self.values, dtype=np.float64).reshape(-1)
         if pairs.shape[0] != values.shape[0]:
             raise ValidationError("pairs and values lengths differ")
@@ -102,12 +103,7 @@ class PnPProblem:
 def _check_entries(problem: PnPProblem) -> None:
     """Finite unit bearings, finite points, in-range pairs and
     nonnegative weights; `_check_total` checks the weight total."""
-    # a NaN norm fails the <= test
-    if not np.all(np.abs(np.linalg.norm(problem.bearings, axis=1) - 1.0)
-                  <= 1e-9):
-        raise ValidationError("bearings must be finite unit vectors")
-    if not np.isfinite(problem.points).all():
-        raise ValidationError("points must be finite")
+    check_bearings_and_points(problem.bearings, problem.points)
     values = problem.weights
     if isinstance(values, SparseWeights):
         check_pairs_in_range(values.pairs, *problem.shape, "weight pair")

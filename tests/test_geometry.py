@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from blindpnp.assignment import one_to_one
 from blindpnp.errors import ValidationError
 from blindpnp.geometry import (ARCCOS_CLAMP, Pose, angular_reprojection_error,
                                bearings_to_pixels, canonicalize_angle_axis,
@@ -19,6 +20,8 @@ from blindpnp.geometry import (ARCCOS_CLAMP, Pose, angular_reprojection_error,
                                pixels_to_bearings, ray_angles,
                                so3_exp_and_derivatives, transform_points,
                                translation_error)
+from blindpnp.pose_solvers import CandidateSet
+from blindpnp.weighted_pnp import SparseWeights
 
 from conftest import exact_bearings, random_pose, rotation_series
 
@@ -365,3 +368,35 @@ class TestTransformPoints:
         expected = np.array([pose.matrix() @ p + pose.t for p in points])
         np.testing.assert_allclose(transform_points(pose, points), expected,
                                    atol=1e-14)
+
+
+def _candidate_pairs(pairs):
+    return CandidateSet(pairs=pairs, weights=np.ones(len(np.ravel(pairs)) // 2),
+                        bearings=np.eye(3), points=np.eye(6, 3)).pairs
+
+
+def _sparse_pairs(pairs):
+    return SparseWeights(pairs=pairs,
+                         values=np.ones(len(np.ravel(pairs)) // 2)).pairs
+
+
+def _one_to_one_pairs(pairs):
+    return one_to_one(pairs, np.ones(len(np.ravel(pairs)) // 2))
+
+
+class TestPairArrays:
+    # each takes a (k, 2) pair list; any other shape is an error, not a
+    # reshape into pairs that no caller wrote
+    builders = [_candidate_pairs, _sparse_pairs, _one_to_one_pairs]
+
+    @pytest.mark.parametrize("build", builders)
+    @pytest.mark.parametrize("pairs", [[[0, 1, 2], [3, 4, 5]], [0, 1, 2, 3]])
+    def test_other_shapes_rejected(self, build, pairs):
+        with pytest.raises(ValidationError, match=r"shape \(k, 2\)"):
+            build(pairs)
+
+    @pytest.mark.parametrize("build", builders)
+    def test_empty_and_k_by_2_kept(self, build):
+        assert build(np.zeros(0)).shape == (0, 2)
+        np.testing.assert_array_equal(build([[0, 1], [2, 0]]),
+                                      [[0, 1], [2, 0]])

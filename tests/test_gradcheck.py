@@ -101,11 +101,14 @@ class TestSizes:
         with pytest.raises(ValidationError, match="m == n"):
             check(seeds=range(1), m=2, n=3)
 
-    @pytest.mark.parametrize("check", [check_pnp_second_order, check_pnp_vjp])
+    @pytest.mark.parametrize("check", [check_pnp_vjp])
     def test_fewer_entries_than_probes(self, check):
-        # 4 weight entries, fewer than the 6 or 8 probes a case draws
-        result = check(seeds=range(2), m=2, n=2)
+        # 9 weight entries, fewer than the 12 probes a case asks for: every
+        # entry is probed, and the cases are compared, not skipped
+        result = check(seeds=range(2), m=3, n=3, probes_per_case=12)
+        assert result.passed
         assert result.cases == 2
+        assert not result.notes
 
     @pytest.mark.parametrize("check", [check_pnp_second_order, check_pnp_vjp])
     def test_two_points_are_expected_singular(self, check):

@@ -1,4 +1,4 @@
-"""Minimal solver, linear solver, and the robust initializer.
+"""Minimal solver and the robust initializer.
 
 P3P solutions are checked for algebraic self-consistency with the
 cross-product angle measure (the arccos form floors near 1.5e-8 and
@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from blindpnp.errors import DegenerateGeometryError, ValidationError
 from blindpnp.geometry import (Pose, geodesic_rotation_angle, log_so3,
                                translation_error)
 from blindpnp.pose_solvers import (CandidateSet, RansacConfig, ransac_p3p,
-                                   epnp, p3p, _epnp_design, _p3p_batch,
-                                   _polish_depths)
+                                   p3p, _p3p_batch, _polish_depths)
+from blindpnp.weighted_pnp import PnPProblem, SparseWeights, pnp_objective
 
 from conftest import exact_bearings, random_pose, tiny_angle
 
@@ -78,6 +77,14 @@ class TestP3P:
         points = np.array([[1.0, 0.0, 5.0], [0.0, 1.0, 5.0], [-1.0, 0.0, 5.0]])
         with pytest.raises(ValidationError):
             p3p(points, points)
+
+    @pytest.mark.parametrize("where", ["bearing", "point"])
+    def test_nan_input_rejected(self, rng, where):
+        points = rng.uniform(-0.5, 0.5, (3, 3))
+        bearings = exact_bearings(random_pose(rng), points)
+        (bearings if where == "bearing" else points)[1, 2] = np.nan
+        with pytest.raises(ValidationError):
+            p3p(bearings, points)
 
 
 def minimal_row(kind: str, seed: int, eps: float):
@@ -219,67 +226,6 @@ class TestBatchedP3P:
             assert resid[r] == alone_resid[0]
 
 
-def design_matrix_loop(f, alphas):
-    """The EPnP system built block by block."""
-    npts, k = alphas.shape
-    M = np.zeros((3 * npts, 3 * k))
-    for i in range(npts):
-        fx, fy, fz = f[i]
-        S = np.array([[0.0, -fz, fy], [fz, 0.0, -fx], [-fy, fx, 0.0]])
-        for a in range(k):
-            M[3 * i:3 * i + 3, 3 * a:3 * a + 3] = alphas[i, a] * S
-    return M
-
-
-class TestEPnP:
-    @settings(deadline=None, derandomize=True, database=None)
-    @given(st.data())
-    def test_design_matrix_matches_loop(self, data):
-        n = data.draw(st.integers(1, 12))
-        k = data.draw(st.sampled_from([3, 4]))
-        values = st.floats(-2.0, 2.0, allow_subnormal=False)
-        f = data.draw(arrays(np.float64, (n, 3), elements=values))
-        alphas = data.draw(arrays(np.float64, (n, k), elements=values))
-        M = _epnp_design(f, alphas)
-        expected = design_matrix_loop(f, alphas)
-        assert M.tobytes() == expected.tobytes()
-        assert (M.T @ M).tobytes() == (expected.T @ expected).tobytes()
-
-    def test_recovers_pose_from_ten_pairs(self, rng):
-        for _ in range(50):
-            pose = random_pose(rng)
-            points = rng.uniform(-0.5, 0.5, (10, 3))
-            bearings = exact_bearings(pose, points)
-            est = epnp(bearings, points)
-            assert geodesic_rotation_angle(est.matrix(), pose.matrix()) <= 1e-6
-            assert translation_error(est.t, pose.t) <= 1e-6
-
-    def test_planar_branch_four_points(self, rng):
-        for _ in range(50):
-            pose = random_pose(rng)
-            flat = rng.uniform(-0.5, 0.5, (4, 2))
-            points = np.column_stack([flat, np.zeros(4)])
-            bearings = exact_bearings(pose, points)
-            est = epnp(bearings, points)
-            assert pose_distance(est, pose) <= 1e-5
-
-    def test_three_pairs_rejected(self, rng):
-        pose = random_pose(rng)
-        points = rng.uniform(-0.5, 0.5, (3, 3))
-        with pytest.raises(ValidationError):
-            epnp(exact_bearings(pose, points), points)
-
-    def test_permutation_invariance(self, rng):
-        pose = random_pose(rng)
-        points = rng.uniform(-0.5, 0.5, (12, 3))
-        bearings = exact_bearings(pose, points)
-        base = epnp(bearings, points)
-        perm = rng.permutation(12)
-        shuffled = epnp(bearings[perm], points[perm])
-        assert np.max(np.abs(base.r - shuffled.r)) <= 1e-9
-        assert np.max(np.abs(base.t - shuffled.t)) <= 1e-9
-
-
 def make_candidates(rng, pose, n=100, true_count=75, wrong_count=75):
     points = rng.uniform(-0.5, 0.5, (n, 3))
     bearings = exact_bearings(pose, points)
@@ -324,8 +270,7 @@ class TestRansac:
             cand = make_candidates(rng, pose)
             est = ransac_p3p(cand, RansacConfig(seed=seed))
             # geometric refinement over the inlier set, as in the pipeline
-            from blindpnp.weighted_pnp import (PnPProblem, SparseWeights,
-                                               pnp_solve)
+            from blindpnp.weighted_pnp import pnp_solve
             weights = SparseWeights(
                 pairs=est.inliers,
                 values=np.full(est.inliers.shape[0],
@@ -392,9 +337,56 @@ class TestRansac:
         with pytest.raises(ValidationError, match="unit"):
             ransac_p3p(bad, RansacConfig(seed=0, max_iterations=1))
 
+    @pytest.mark.parametrize("where", ["bearing", "point"])
+    def test_nan_candidate_rejected(self, rng, where):
+        cand = make_candidates(rng, random_pose(rng), n=40, true_count=40,
+                               wrong_count=0)
+        bearings, points = cand.bearings.copy(), cand.points.copy()
+        (bearings if where == "bearing" else points)[7, 0] = np.nan
+        bad = CandidateSet(pairs=cand.pairs, weights=cand.weights,
+                           bearings=bearings, points=points)
+        with pytest.raises(ValidationError):
+            ransac_p3p(bad, RansacConfig(seed=0))
+
+    def test_pose_is_stationary_over_its_inliers(self, rng):
+        # the refit leaves the pose at the optimum of uniform weights over
+        # its own inliers, not merely near it
+        for seed in range(20):
+            pose = random_pose(rng)
+            cand = make_candidates(rng, pose)
+            noise = rng.standard_normal(cand.bearings.shape) * 1e-3
+            bearings = cand.bearings + noise
+            bearings /= np.linalg.norm(bearings, axis=1, keepdims=True)
+            cand = CandidateSet(pairs=cand.pairs, weights=cand.weights,
+                                bearings=bearings, points=cand.points)
+            est = ransac_p3p(cand, RansacConfig(seed=seed))
+            assert est.inliers.shape[0] >= 4
+            weights = SparseWeights(
+                pairs=est.inliers,
+                values=np.full(est.inliers.shape[0], 1.0 / est.inliers.shape[0]))
+            _, grad = pnp_objective(
+                PnPProblem(bearings=bearings, points=cand.points,
+                           weights=weights, init=est.pose), est.pose)
+            assert np.linalg.norm(grad) <= 1e-9
+
+    def test_planar_candidates_recover_pose(self, rng):
+        for seed in range(20):
+            pose = random_pose(rng)
+            flat = rng.uniform(-0.5, 0.5, (30, 2))
+            points = np.column_stack([flat, np.zeros(30)])
+            pairs = np.stack([np.arange(30), np.arange(30)], axis=1)
+            cand = CandidateSet(pairs=pairs, weights=np.ones(30),
+                                bearings=exact_bearings(pose, points),
+                                points=points)
+            est = ransac_p3p(cand, RansacConfig(seed=seed))
+            assert est.inliers.shape[0] == 30
+            assert pose_distance(est.pose, pose) <= 1e-9
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             RansacConfig(inlier_threshold=0.0)
+        with pytest.raises(ValidationError):
+            RansacConfig(inlier_threshold=np.nan)
         with pytest.raises(ValidationError):
             RansacConfig(max_iterations=0)
         with pytest.raises(ValidationError):
