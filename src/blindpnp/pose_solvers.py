@@ -5,12 +5,15 @@
   iterations on the original trilateration system, and lift the camera-
   frame points to a pose by rigid alignment.  Up to four solutions.
 * `ransac_p3p` runs P3P hypotheses over weighted candidate pairs (three
-  points per sample plus one disambiguating pair), scores by angular
-  inlier count, early-exits on the usual confidence bound, and refits
-  the best one-to-one inlier set with the uniformly weighted pose layer
-  (`weighted_pnp.pnp_solve`) from the best hypothesis.  Hypotheses are
-  solved, probed and scored a batch of samples at a time; `p3p` is a
-  batch of one through the same solver.
+  points per sample plus one disambiguating pair).  Samples are drawn
+  with probability proportional to the candidate weights, hypotheses
+  are scored by angular inlier count, and the search stops at the
+  confidence bound on the best hypothesis's share of the weight.  The
+  best one-to-one inlier set is refit with the uniformly weighted pose
+  layer (`weighted_pnp.pnp_solve`) and scored again at the refit pose
+  until it repeats.  Hypotheses are drawn, solved, probed and scored a
+  batch of samples at a time, in batches that grow while the bound
+  allows; `p3p` is a batch of one through the same solver.
 """
 
 from __future__ import annotations
@@ -29,7 +32,14 @@ _COLLINEAR_DIST = 1e-9
 _COLLINEAR_AREA = 1e-12
 _EDGES = (np.array([0, 0, 1]), np.array([1, 2, 2]))  # point pairs ab, ac, bc
 _NEWTON_STEPS = 8
-_BATCH = 64  # RANSAC samples evaluated together
+_FLOOR_ULPS = 4  # depth polish: the rounding floor, in ulps of the terms
+# RANSAC batches double from _FIRST_BATCH up to _BATCH.  First batches of
+# 8-24 samples left n = 2000 runs holding one more plan-sized heap block
+# (peak RSS +30 MB) in a quarter of the seeds; 32 did not (CHANGES.md).
+_FIRST_BATCH = 32
+_BATCH = 64
+_ZERO_WEIGHT_GAP = 1e3  # log-weight gap below the lightest positive weight
+_REFITS = 4  # at most this many re-scored refits of the inlier set
 
 
 def _rigid_align(world: np.ndarray, camera: np.ndarray):
@@ -77,27 +87,43 @@ def _law_of_cosines(s, cos, target):
 def _polish_depths(s, cos, target):
     """Newton on the law-of-cosines system for a (c, 3) stack of depths;
     returns the depths and each row's max-norm residual.  A row stops
-    after a step taken from a residual below 1e-15 of its largest
-    target, at a singular Jacobian, or after _NEWTON_STEPS."""
+    at its rounding floor (_FLOOR_ULPS ulps of the size of its terms),
+    at a singular Jacobian, after _NEWTON_STEPS, or once a step fails to
+    shrink a residual already below 1e-9 of its largest target, where
+    `_p3p_batch` accepts a root; that step is not taken.  Farther out
+    every step is taken, as Newton may climb before it converges."""
     s = s.copy()
-    tol = 1e-15 * target.max(axis=1)
+    F, J = _law_of_cosines(s, cos, target)
+    resid = np.max(np.abs(F), axis=1)
+    i, j = _EDGES
+    terms = s[:, i] ** 2 + s[:, j] ** 2 + 2.0 * np.abs(s[:, i] * s[:, j] * cos)
+    floor = _FLOOR_ULPS * np.finfo(float).eps * np.max(terms + target, axis=1)
+    settled = 1e-9 * target.max(axis=1)
     active = np.arange(s.shape[0])
     for _ in range(_NEWTON_STEPS):
-        F, J = _law_of_cosines(s[active], cos[active], target[active])
+        active = active[resid[active] > floor[active]]
+        if active.size == 0:
+            break
         solved = np.ones(active.size, dtype=bool)
         try:
-            step = np.linalg.solve(J, F[..., None])[..., 0]
+            step = np.linalg.solve(J[active], F[active, :, None])[..., 0]
         except np.linalg.LinAlgError:  # a singular row: solve row by row
-            step = np.zeros_like(F)
-            for r in range(active.size):
+            step = np.zeros((active.size, 3))
+            for r, a in enumerate(active):
                 try:
-                    step[r] = np.linalg.solve(J[r], F[r])
+                    step[r] = np.linalg.solve(J[a], F[a])
                 except np.linalg.LinAlgError:
                     solved[r] = False
-        s[active[solved]] -= step[solved]
-        active = active[solved & ~(np.max(np.abs(F), axis=1) < tol[active])]
-    F, _ = _law_of_cosines(s, cos, target)
-    return s, np.max(np.abs(F), axis=1)
+        trial = s[active] - step
+        F_new, J_new = _law_of_cosines(trial, cos[active], target[active])
+        resid_new = np.max(np.abs(F_new), axis=1)
+        better = solved & ((resid_new < resid[active])
+                           | (resid[active] > settled[active]))
+        active = active[better]
+        s[active], F[active], J[active] = (trial[better], F_new[better],
+                                           J_new[better])
+        resid[active] = resid_new[better]
+    return s, resid
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # bad rows are masked out
@@ -210,10 +236,15 @@ def p3p(bearings, points) -> list[Pose]:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Weighted 2D-3D candidate pairs over shared bearing/point sets."""
+    """Weighted 2D-3D candidate pairs over shared bearing/point sets.
+
+    `ransac_p3p` draws its samples with probability proportional to the
+    weights, so they must be finite and nonnegative, with a positive
+    total unless the set is empty; only their ratios matter.
+    """
 
     pairs: np.ndarray          # (k, 2) int indices (bearing, point)
-    weights: np.ndarray        # (k,) nonnegative
+    weights: np.ndarray        # (k,) finite, nonnegative
     bearings: np.ndarray       # (m, 3)
     points: np.ndarray         # (n, 3)
 
@@ -222,14 +253,19 @@ class CandidateSet:
         weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "bearings",
-                           np.asarray(self.bearings, dtype=np.float64))
-        object.__setattr__(self, "points",
-                           np.asarray(self.points, dtype=np.float64))
+        for name in ("bearings", "points"):
+            value = np.asarray(getattr(self, name), dtype=np.float64)
+            if value.ndim != 2 or value.shape[1] != 3:
+                raise ValidationError(f"candidate {name} must have 3 "
+                                      f"columns, got shape {value.shape}")
+            object.__setattr__(self, name, value)
         if pairs.shape[0] != weights.shape[0]:
             raise ValidationError("pairs and weights lengths differ")
-        if np.any(weights < 0):
-            raise ValidationError("candidate weights must be nonnegative")
+        if not np.all((weights >= 0) & (weights < np.inf)):  # NaN fails too
+            raise ValidationError(
+                "candidate weights must be finite and nonnegative")
+        if weights.size and not weights.any():
+            raise ValidationError("candidate weights must not all be zero")
         check_pairs_in_range(pairs, self.bearings.shape[0],
                              self.points.shape[0], "candidate")
 
@@ -276,13 +312,24 @@ def _candidate_angles(fc: np.ndarray, pc: np.ndarray, R: np.ndarray,
                       exact=True)
 
 
+def _draw_samples(rng: np.random.Generator, log_w: np.ndarray,
+                  size: int) -> np.ndarray:
+    """(size, 4) samples, each drawn without replacement with probability
+    proportional to exp(log_w): the four largest keys log_w + Gumbel
+    noise, largest first, as a one-at-a-time draw would order them."""
+    keys = log_w + rng.gumbel(size=(size, log_w.size))
+    top = np.argpartition(keys, -4, axis=1)[:, -4:]
+    order = np.argsort(-np.take_along_axis(keys, top, axis=1), axis=1)
+    return np.take_along_axis(top, order, axis=1)
+
+
 def _score_samples(cand: CandidateSet, fc: np.ndarray, pc: np.ndarray,
-                   sel: np.ndarray, threshold: float):
+                   w: np.ndarray, sel: np.ndarray, threshold: float):
     """Hypotheses of a (B, 4) batch of candidate samples: three feed P3P,
     the fourth picks the solution of smallest angular residual.  Returns
     each sample's inlier count (-1 when it forms no hypothesis: a repeated
-    bearing or point, a degenerate triple or no P3P solution) and the
-    chosen R (B, 3, 3) and t (B, 3)."""
+    bearing or point, a degenerate triple or no P3P solution), its inlier
+    weight under the weights w, and the chosen R (B, 3, 3) and t (B, 3)."""
     tri = sel[:, :3]
     rows = np.flatnonzero(np.all(
         np.diff(np.sort(cand.pairs[tri], axis=1), axis=1) != 0, axis=(1, 2)))
@@ -292,29 +339,47 @@ def _score_samples(cand: CandidateSet, fc: np.ndarray, pc: np.ndarray,
     resid = np.where(ok, ray_angles(fc[probe, None], q), np.inf)
     formed = np.flatnonzero(ok.any(axis=1))
     rows, pick = rows[formed], np.argmin(resid[formed], axis=1)
-    counts = np.full(sel.shape[0], -1)
+    counts, mass = np.full(sel.shape[0], -1), np.zeros(sel.shape[0])
     R_best, t_best = np.zeros((sel.shape[0], 3, 3)), np.zeros((sel.shape[0], 3))
     R_best[rows], t_best[rows] = R[formed, pick], t[formed, pick]
     inlier = _candidate_angles(fc, pc, R_best[rows], t_best[rows]) <= threshold
     counts[rows] = np.count_nonzero(inlier, axis=1)
-    return counts, R_best, t_best
+    # a row's own sum, not a matrix product: the same bits in any batch
+    mass[rows] = np.where(inlier, w, 0.0).sum(axis=1)
+    return counts, mass, R_best, t_best
+
+
+def _inliers_at(cand: CandidateSet, fc: np.ndarray, pc: np.ndarray,
+                pose: Pose, threshold: float) -> np.ndarray:
+    """The one-to-one inlier pairs of the candidates at `pose`."""
+    angles = _candidate_angles(fc, pc, pose.matrix(), pose.t)
+    passing = angles <= threshold
+    return one_to_one(cand.pairs[passing], angles[passing])
 
 
 def ransac_p3p(candidates: CandidateSet, config: RansacConfig) -> RobustEstimate:
     """Robust pose from candidate correspondences.
 
-    Each hypothesis samples four distinct candidates: three feed P3P
-    and the fourth selects among its solutions by angular residual.
-    Scoring counts candidates within the angular threshold (many-to-one
-    allowed); the final inlier set is made one-to-one on angular cost
-    by `one_to_one`, where only the inliers that share a bearing or a
-    point go through the Hungarian step.  When it has four or more
-    pairs, `pnp_solve` refits the pose to them with uniform weights,
-    descending from the best hypothesis; a NumericalError there keeps
-    the hypothesis.  Hypotheses are evaluated _BATCH samples at a time,
-    then taken in sample order under the confidence bound, so the
-    result is that of one sample at a time.  Deterministic for a fixed
-    seed.
+    Each hypothesis draws four distinct candidates with probability
+    proportional to their weights (zero-weight ones only into a sample
+    the others cannot fill): three feed P3P and the fourth selects among
+    its solutions by angular residual.  Scoring counts candidates within
+    the angular threshold (many-to-one allowed).  The search stops after
+    `ceil(log(1 - confidence) / log(1 - W^4))` samples, W being the best
+    hypothesis's inlier weight over the total weight: the usual bound
+    on the inlier ratio when the weights are uniform.  Batches of samples
+    grow from _FIRST_BATCH to _BATCH, capped by the bound, and are taken
+    in sample order; sample r always takes row r of one noise stream, so
+    the result is that of one sample at a time.
+
+    The best hypothesis's inliers are made one-to-one on angular cost by
+    `one_to_one`.  While that set has four or more pairs, `pnp_solve`
+    refits the pose to it with uniform weights and the candidates are
+    scored again at the refit pose, until the set repeats or after
+    _REFITS refits; so a hypothesis that admits a few wrong pairs ends
+    at the pose of the right ones.  A NumericalError keeps the pose
+    before that refit.  The inliers returned are those the pose was fit
+    to.  Deterministic for a fixed seed.
     """
     k = len(candidates)
     if k < 4:
@@ -324,26 +389,32 @@ def ransac_p3p(candidates: CandidateSet, config: RansacConfig) -> RobustEstimate
     check_bearings_and_points(fc, pc)
     rng = np.random.default_rng(config.seed)
     thr = config.inlier_threshold
+    w = candidates.weights / candidates.weights.max()  # sums without overflow
+    total = w.sum()
+    positive = w > 0
+    log_w = np.full(k, np.log(w[positive].min()) - _ZERO_WEIGHT_GAP)
+    log_w[positive] = np.log(w[positive])
 
     best_count, best = 0, None
-    needed, it = config.max_iterations, 0
-    while it < min(config.max_iterations, needed):
-        size = min(_BATCH, min(config.max_iterations, needed) - it)
-        sel = np.array([rng.choice(k, size=4, replace=False)
-                        for _ in range(size)])
-        counts, R, t = _score_samples(candidates, fc, pc, sel, thr)
+    limit, it, batch = config.max_iterations, 0, _FIRST_BATCH
+    while it < limit:
+        size = min(batch, _BATCH, limit - it)
+        batch *= 2
+        sel = _draw_samples(rng, log_w, size)
+        counts, mass, R, t = _score_samples(candidates, fc, pc, w, sel, thr)
         for b in range(size):
             it += 1
             if counts[b] >= 0 and (counts[b] > best_count or best is None):
                 best_count, best = int(counts[b]), (R[b], t[b])
-                w = best_count / k
-                if w >= 1.0:
-                    needed = it
-                elif w > 0:
-                    denom = np.log1p(-min(w**4, 1.0 - 1e-16))
-                    needed = int(np.ceil(np.log(1.0 - config.confidence)
-                                         / denom))
-            if it >= min(config.max_iterations, needed):
+                w4 = (mass[b] / total) ** 4
+                limit = config.max_iterations
+                if w4 >= 1.0:
+                    limit = it
+                elif w4 > 0:
+                    needed = np.ceil(np.log(1.0 - config.confidence)
+                                     / np.log1p(-w4))
+                    limit = int(min(limit, needed))
+            if it >= limit:
                 break
 
     if best is None:  # no hypothesis could be formed (all samples degenerate)
@@ -351,21 +422,22 @@ def ransac_p3p(candidates: CandidateSet, config: RansacConfig) -> RobustEstimate
                               inliers=np.zeros((0, 2), dtype=np.int64),
                               iterations_used=it, found_pose=False)
 
-    best_pose = Pose(log_so3(best[0]), best[1])
-    angles = _candidate_angles(fc, pc, best_pose.matrix(), best_pose.t)
-    passing = angles <= thr
-    inliers = one_to_one(candidates.pairs[passing], angles[passing])
-    pose = best_pose
-    if inliers.shape[0] >= 4:
+    pose = Pose(log_so3(best[0]), best[1])
+    inliers, fit_to = _inliers_at(candidates, fc, pc, pose, thr), None
+    for _ in range(_REFITS):
+        if inliers.shape[0] < 4 or np.array_equal(inliers, fit_to):
+            break
         own = np.arange(inliers.shape[0])  # pair i: bearing i, point i
         weights = SparseWeights(pairs=np.stack([own, own], 1),
                                 values=np.full(own.size, 1.0 / own.size))
         try:
             pose = pnp_solve(PnPProblem(candidates.bearings[inliers[:, 0]],
                                         candidates.points[inliers[:, 1]],
-                                        weights, best_pose)).pose
+                                        weights, pose)).pose
         except NumericalError:
-            pass  # keep the minimal-solver estimate
-    return RobustEstimate(pose=pose, inliers=inliers, iterations_used=it,
-                          found_pose=best_count > 0,
+            break  # keep the pose before this refit
+        fit_to, inliers = inliers, _inliers_at(candidates, fc, pc, pose, thr)
+    return RobustEstimate(pose=pose,
+                          inliers=inliers if fit_to is None else fit_to,
+                          iterations_used=it, found_pose=best_count > 0,
                           hypothesis_count=best_count)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from blindpnp.errors import DegenerateGeometryError, ValidationError
 from blindpnp.geometry import (Pose, geodesic_rotation_angle, log_so3,
                                translation_error)
+import blindpnp.pose_solvers as pose_solvers
 from blindpnp.pose_solvers import (CandidateSet, RansacConfig, ransac_p3p,
                                    p3p, _p3p_batch, _polish_depths)
 from blindpnp.weighted_pnp import PnPProblem, SparseWeights, pnp_objective
@@ -320,13 +321,62 @@ class TestRansac:
         (2, 225, (909, 80, 75, 5550)),
     ])
     def test_pinned_results(self, seed, wrong, pinned):
-        # values of the one-sample-at-a-time loop that batching replaced:
         # iterations, best hypothesis count, inliers and their index sum
         rng = np.random.default_rng(seed)
         cand = make_candidates(rng, random_pose(rng), wrong_count=wrong)
         est = ransac_p3p(cand, RansacConfig(seed=seed))
         assert (est.iterations_used, est.hypothesis_count,
                 est.inliers.shape[0], int(est.inliers.sum())) == pinned
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_schedule_does_not_change_the_estimate(self, monkeypatch,
+                                                         seed):
+        rng = np.random.default_rng(seed)
+        cand = make_candidates(rng, random_pose(rng), wrong_count=150)
+        cand = CandidateSet(pairs=cand.pairs,
+                            weights=rng.uniform(0.0, 1.0, len(cand)),
+                            bearings=cand.bearings, points=cand.points)
+        batched = ransac_p3p(cand, RansacConfig(seed=seed))
+        assert batched.iterations_used > 2 * pose_solvers._BATCH  # 3+ batches
+        monkeypatch.setattr(pose_solvers, "_BATCH", 1)
+        single = ransac_p3p(cand, RansacConfig(seed=seed))
+        assert batched.pose.r.tobytes() == single.pose.r.tobytes()
+        assert batched.pose.t.tobytes() == single.pose.t.tobytes()
+        assert np.array_equal(batched.inliers, single.inliers)
+        assert batched.iterations_used == single.iterations_used
+        assert batched.hypothesis_count == single.hypothesis_count
+
+    def test_zero_weight_pairs_never_drawn(self, monkeypatch, rng):
+        pose = random_pose(rng)
+        cand = make_candidates(rng, pose)
+        weights = np.r_[np.ones(75), np.zeros(75)]
+        cand = CandidateSet(pairs=cand.pairs, weights=weights,
+                            bearings=cand.bearings, points=cand.points)
+        drawn = []
+        score = pose_solvers._score_samples
+
+        def spy(cand, fc, pc, w, sel, threshold):
+            drawn.append(sel)
+            return score(cand, fc, pc, w, sel, threshold)
+
+        monkeypatch.setattr(pose_solvers, "_score_samples", spy)
+        est = ransac_p3p(cand, RansacConfig(seed=3))
+        assert np.all(weights[np.concatenate(drawn)] == 1.0)
+        # the first hypothesis holds all the weight: the bound is 1 sample
+        assert est.iterations_used == 1
+        assert pose_distance(est.pose, pose) <= 1e-9
+
+    def test_exactly_four_candidates(self, rng):
+        pose = random_pose(rng)
+        points = rng.uniform(-0.5, 0.5, (4, 3))
+        pairs = np.stack([np.arange(4), np.arange(4)], axis=1)
+        cand = CandidateSet(pairs=pairs, weights=[0.1, 0.2, 0.3, 0.4],
+                            bearings=exact_bearings(pose, points),
+                            points=points)
+        est = ransac_p3p(cand, RansacConfig(seed=0))
+        assert est.found_pose
+        assert np.array_equal(est.inliers, pairs)
+        assert pose_distance(est.pose, pose) <= 1e-9
 
     def test_non_unit_candidate_bearing_rejected(self, rng):
         cand = make_candidates(rng, random_pose(rng))
@@ -381,6 +431,23 @@ class TestRansac:
             est = ransac_p3p(cand, RansacConfig(seed=seed))
             assert est.inliers.shape[0] == 30
             assert pose_distance(est.pose, pose) <= 1e-9
+
+    @pytest.mark.parametrize("weights", [
+        [1.0, np.nan, 1.0, 1.0], [1.0, np.inf, 1.0, 1.0],
+        [1.0, -0.5, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+    def test_bad_weights_rejected(self, weights):
+        pairs = np.stack([np.arange(4), np.arange(4)], axis=1)
+        with pytest.raises(ValidationError, match="weights"):
+            CandidateSet(pairs=pairs, weights=weights,
+                         bearings=np.eye(4, 3), points=np.eye(4, 3))
+
+    @pytest.mark.parametrize("where", ["bearings", "points"])
+    def test_inputs_without_three_columns_rejected(self, where):
+        inputs = {"bearings": np.eye(4, 3), "points": np.eye(4, 3)}
+        inputs[where] = np.ones((4, 2))
+        pairs = np.stack([np.arange(4), np.arange(4)], axis=1)
+        with pytest.raises(ValidationError, match=where):
+            CandidateSet(pairs=pairs, weights=np.ones(4), **inputs)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
