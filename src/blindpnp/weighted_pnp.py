@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, SingularHessianError, ValidationError
-from .geometry import (Pose, _pairs_array, canonicalize_angle_axis,
+from .geometry import (Pose, _dot3, _pairs_array, canonicalize_angle_axis,
                        check_bearings_and_points, check_pairs_in_range,
                        so3_exp_and_derivatives)
 
@@ -179,7 +179,7 @@ def _directions(points, x, used):
     """
     R, dR = so3_exp_and_derivatives(x[:3])
     q = points @ R.T + x[3:]
-    nq = np.sqrt(np.sum(q * q, axis=1))
+    nq = np.sqrt(_dot3(q, q))
     center = used & (np.real(nq) <= 1e-12)
     if np.any(center):
         raise NumericalError(
@@ -190,13 +190,14 @@ def _directions(points, x, used):
 
 
 def _value_and_gradient(w, s, points, x, active):
-    """Objective and 6-vector gradient at pose x = (r, t).
+    """Objective, 6-vector gradient and `_directions` at pose x = (r, t).
 
     `active` marks points with any weight; only those contribute (and
-    only those are checked against the camera center).  Complex-safe.
+    only those are checked against the camera center).  The directions
+    are returned for `_hessian` at the same pose.  Complex-safe.
     """
-    dR, u, nq = _directions(points, x, active)
-    su = np.sum(s * u, axis=1)
+    directions = dR, u, nq = _directions(points, x, active)
+    su = _dot3(s, u)
     value = np.sum(w[active]) - np.sum(su[active])
     # d(value)/dq_j = -(s_j - (s_j . u_j) u_j) / ||q_j||
     gq = -(s - su[:, None] * u) / nq[:, None]
@@ -204,7 +205,7 @@ def _value_and_gradient(w, s, points, x, active):
     grad_t = gq.sum(axis=0)
     # dq_j/dr_k = dR[k] @ p_j
     grad_r = np.einsum("kab,ab->k", dR, gq.T @ points)
-    return value, np.concatenate([grad_r, grad_t])
+    return value, np.concatenate([grad_r, grad_t]), directions
 
 
 def pnp_objective(problem: PnPProblem, pose: Pose):
@@ -215,7 +216,7 @@ def pnp_objective(problem: PnPProblem, pose: Pose):
     """
     w, s, active = _collapse_weights(problem)
     x = pose.as_vector()
-    value, grad = _value_and_gradient(w, s, problem.points, x, active)
+    value, grad, _ = _value_and_gradient(w, s, problem.points, x, active)
     return max(float(value), 0.0), grad
 
 
@@ -230,8 +231,9 @@ def _positive_definite_solve(A, b):
     return np.linalg.solve(A, b)
 
 
-def _damped_step(w, s, points, active, x, value, g, noise):
-    """One damped Newton step from x: (x, value, g) after it, or None.
+def _damped_step(w, s, points, active, x, value, g, H, noise):
+    """One damped Newton step from x on the Hessian H there: (x, value,
+    g, directions) after it, or None.
 
     Solves (H + lam I) d = g, raising lam from 0 until H + lam I has a
     Cholesky factor (is positive definite) and x - d descends: it lowers
@@ -241,7 +243,6 @@ def _damped_step(w, s, points, active, x, value, g, noise):
     x.  A non-finite H or g raises NumericalError: the factorization
     would not fail on it, and no lam would give a descending step.
     """
-    H = _hessian(w, s, points, x, active)
     _check_finite(H, g)
     lam = 0.0
     while True:
@@ -249,13 +250,14 @@ def _damped_step(w, s, points, active, x, value, g, noise):
             d = _positive_definite_solve(H + lam * np.eye(6), g)
             if np.linalg.norm(d) <= _EPS * max(np.linalg.norm(x), 1.0):
                 return None
-            value_new, g_new = _value_and_gradient(w, s, points, x - d, active)
+            value_new, g_new, directions = _value_and_gradient(
+                w, s, points, x - d, active)
         except (np.linalg.LinAlgError, NumericalError):
             pass
         else:
             if value_new < value or (np.linalg.norm(g_new) < np.linalg.norm(g)
                                      and value_new <= value + noise):
-                return x - d, value_new, g_new
+                return x - d, value_new, g_new, directions
         lam = max(10.0 * lam, 1e-3 * np.max(np.abs(np.diag(H))),
                   np.finfo(float).tiny)
 
@@ -288,39 +290,46 @@ def pnp_solve(problem: PnPProblem, config: PnPSolverConfig | None = None,
 
     # the objective is sum(w) - sum(s_j . u_j); this bounds its rounding
     noise = 64 * _EPS * np.sum(w[active])
-    value, g = _value_and_gradient(w, s, points, x, active)
+    value, g, directions = _value_and_gradient(w, s, points, x, active)
     iterations = 0
     while (np.linalg.norm(g) > config.gradient_tolerance
            and iterations < config.max_iterations):
-        step = _damped_step(w, s, points, active, x, value, g, noise)
+        H = _hessian(s, points, x, directions)
+        step = _damped_step(w, s, points, active, x, value, g, H, noise)
         if step is None:
             break
-        x, value, g = step
+        x, value, g, directions = step
         iterations += 1
 
     if np.linalg.norm(g) <= config.gradient_tolerance:
-        H = _hessian(w, s, points, x, active)
+        H = _hessian(s, points, x, directions)
         _check_finite(H, g)
         for _ in range(config.max_iterations - iterations):
             try:
                 x_new = x - _positive_definite_solve(H, g)
-                _, g_new = _value_and_gradient(w, s, points, x_new, active)
+                value_new, g_new, _ = _value_and_gradient(w, s, points, x_new,
+                                                          active)
             except (np.linalg.LinAlgError, NumericalError):
                 break
             if not np.linalg.norm(g_new) < np.linalg.norm(g):  # NaN too
                 break
-            x, g = x_new, g_new
+            x, value, g = x_new, value_new, g_new
 
-    x = np.concatenate([canonicalize_angle_axis(x[:3]), x[3:]])
-    value, g = _value_and_gradient(w, s, points, x, active)
+    r = canonicalize_angle_axis(x[:3])
+    if not np.array_equal(r, x[:3]):  # wrapped: re-evaluate at the new x
+        x = np.concatenate([r, x[3:]])
+        value, g, _ = _value_and_gradient(w, s, points, x, active)
     gnorm = float(np.linalg.norm(g))
     return PnPSolution(pose=Pose.from_vector(x), objective_value=float(value),
                        converged=gnorm <= config.gradient_tolerance,
                        gradient_norm=gnorm, iterations=iterations)
 
 
-def _hessian(w, s, points, x, active) -> np.ndarray:
+def _hessian(s, points, x, directions) -> np.ndarray:
     """6x6 pose Hessian in closed form, in one pass over the points.
+
+    `directions` are `_directions` at x, as `_value_and_gradient` there
+    returns them.
 
     With q_j = R p_j + t, u_j = q_j / |q_j|, sigma_j = s_j . u_j and
     J_j = dq_j/dx = [dR[k] p_j | I], the q-Hessian of -s_j . u_j is
@@ -333,9 +342,9 @@ def _hessian(w, s, points, x, active) -> np.ndarray:
     matrix product.  d2R[k, l] = d(dR[k])/dr_l is a complex step of
     `so3_exp_and_derivatives` in each rotation direction.
     """
-    dR, u, nq = _directions(points, x, active)
+    dR, u, nq = directions
     # inactive points have s_j = 0, so every term below vanishes for them
-    sigma = np.sum(s * u, axis=1)
+    sigma = _dot3(s, u)
     c = 1.0 / nq**2
     d = sigma * c
     D = points @ dR.reshape(9, 3).T       # D[j, 3k + a] = (dR[k] p_j)_a
@@ -394,12 +403,12 @@ def pnp_second_order(problem: PnPProblem, pose: Pose) -> SecondOrderData:
     """
     w, s, active = _collapse_weights(problem)
     x = pose.canonical().as_vector()
-    _, g = _value_and_gradient(w, s, problem.points, x, active)
+    _, g, directions = _value_and_gradient(w, s, problem.points, x, active)
     gnorm = float(np.linalg.norm(g))
     if gnorm > _STATIONARITY_TOL:
         raise ValidationError(
             f"pose is not stationary: |grad| = {gnorm:.3e} > {_STATIONARITY_TOL:.0e}")
-    H = _hessian(w, s, problem.points, x, active)
+    H = _hessian(s, problem.points, x, directions)
     if isinstance(problem.weights, SparseWeights):
         pairs = problem.weights.pairs
     else:
@@ -426,7 +435,7 @@ def pnp_vjp(problem: PnPProblem, solution: PnPSolution, grad_pose):
             f"(gradient norm {solution.gradient_norm:.3e})")
     w, s, active = _collapse_weights(problem)
     x = solution.pose.canonical().as_vector()
-    H = _hessian(w, s, problem.points, x, active)
+    H = _hessian(s, problem.points, x, _directions(problem.points, x, active))
     cond, singular = _conditioning(H, active)
     if singular:
         raise SingularHessianError(

@@ -19,8 +19,8 @@ from blindpnp.errors import ValidationError
 from blindpnp.losses import correspondence_loss, pose_loss
 from blindpnp.pipeline import PipelineConfig, backward, solve
 from blindpnp.synth import SynthConfig, generate_instance, oracle_cost
-from blindpnp.transport import (_ABSORB_MAX, _EPILOGUE_BYTES, TransportPlan,
-                                _exp_plan, _exp_plan_and_sums,
+from blindpnp.transport import (_ABSORB_MAX, _EPILOGUE_BYTES, _OMEGA_WINDOW,
+                                TransportPlan, _exp_plan, _exp_plan_and_sums,
                                 _logsumexp_rows, sinkhorn_forward, sinkhorn_vjp,
                                 transport_cost)
 
@@ -297,10 +297,22 @@ class TestOverRelaxation:
             inst = generate_instance(SynthConfig(n_points=80, seed=seed))
             M = oracle_cost(inst, sharpness, noise_sigma=0.1, seed=seed)
             want = reference_sinkhorn(M, mu)
-            assert want.iterations < 30
+            assert want.iterations < _OMEGA_WINDOW
             got = sinkhorn_forward(M, mu=mu)
             assert got.iterations == want.iterations
             assert got.P.tobytes() == want.P.tobytes()
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_cuts_iterations_on_workload_plans(self, index):
+        # the plain loop takes 290-1214 iterations on these plans; omega
+        # must move early for the solve to need a quarter of that
+        _, M = outlier_train_case(7, index)
+        tol = 1e-9
+        plan = sinkhorn_forward(M, mu=0.1, tol=tol)
+        want = reference_sinkhorn(M, 0.1, tol=tol)
+        assert plan.converged and want.converged
+        assert np.max(np.abs(plan.P - want.P)) <= 2.0 * tol
+        assert plan.iterations <= want.iterations / 4
 
     def test_benchmark_instance_that_stalled_the_plain_loop(self):
         # seed 208, instance 131 of the outlier train workload: the plain

@@ -23,7 +23,7 @@ from blindpnp.geometry import (_SMALL_ANGLE_SQ, Pose, exp_so3,
                                so3_exp_and_derivatives, translation_error)
 from blindpnp.weighted_pnp import (_CS_STEP, PnPProblem, PnPSolverConfig,
                                    PnPSolution, SparseWeights,
-                                   _collapse_weights, _hessian,
+                                   _collapse_weights, _directions, _hessian,
                                    _value_and_gradient, pnp_objective,
                                    pnp_second_order, pnp_solve, pnp_vjp)
 
@@ -37,9 +37,14 @@ def reference_hessian(w, s, points, x, active):
     for k in range(6):
         xc = x.astype(np.complex128)
         xc[k] += 1j * _CS_STEP
-        _, grad = _value_and_gradient(w, s, points, xc, active)
+        _, grad, _ = _value_and_gradient(w, s, points, xc, active)
         H[:, k] = np.imag(grad) / _CS_STEP
     return 0.5 * (H + H.T)
+
+
+def closed_form_hessian(w, s, points, x, active):
+    """`_hessian` at x, on the directions that it takes computed there."""
+    return _hessian(s, points, x, _directions(points, x, active))
 
 
 def reference_vjp(problem, solution, grad_pose, hessian=reference_hessian):
@@ -432,12 +437,12 @@ class TestClosedFormHessian:
     def test_matches_complex_step(self, data):
         problem, x, kind, stationary = drawn_hessian_case(data)
         w, s, active = _collapse_weights(problem)
-        _, g = _value_and_gradient(w, s, problem.points, x, active)
+        _, g, _ = _value_and_gradient(w, s, problem.points, x, active)
         assert (np.linalg.norm(g) <= 1e-12) == stationary
         if kind == "taylor":
             assert x[:3] @ x[:3] < _SMALL_ANGLE_SQ
         want = reference_hessian(w, s, problem.points, x, active)
-        got = _hessian(w, s, problem.points, x, active)
+        got = closed_form_hessian(w, s, problem.points, x, active)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         np.testing.assert_array_equal(got, got.T)
 
@@ -453,7 +458,7 @@ class TestClosedFormHessian:
         assert not active[0]
         x = np.array([0.01, -0.02, 0.03, 0.05, 0.0, 0.0])
         want = reference_hessian(w, s, points, x, active)
-        got = _hessian(w, s, points, x, active)
+        got = closed_form_hessian(w, s, points, x, active)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_weighted_point_at_camera_center_raises(self):
@@ -463,7 +468,7 @@ class TestClosedFormHessian:
         w, s, active = _collapse_weights(PnPProblem(bearings, points, P,
                                                     Pose.identity()))
         with pytest.raises(NumericalError):
-            _hessian(w, s, points, np.zeros(6), active)
+            closed_form_hessian(w, s, points, np.zeros(6), active)
 
 
 class TestVJP:
@@ -541,14 +546,15 @@ class TestVJP:
         assert dense_out.shape == (m, n)
         # on the same H, the rank-3 product and the dense formula agree
         # to rounding
-        same_h = reference_vjp(problem, solution, g, hessian=_hessian)
+        same_h = reference_vjp(problem, solution, g,
+                               hessian=closed_form_hessian)
         scale = np.max(np.abs(same_h))
         assert np.max(np.abs(dense_out - same_h)) <= 1e-12 * scale
         # H from the complex step, or from the sparse collapse, differs
         # from it by rounding, which inv(H) amplifies by cond(H)
         w, s, active = _collapse_weights(problem)
-        cond = np.linalg.cond(_hessian(w, s, problem.points,
-                                       solution.pose.as_vector(), active))
+        cond = np.linalg.cond(closed_form_hessian(
+            w, s, problem.points, solution.pose.as_vector(), active))
         want = reference_vjp(problem, solution, g)
         assert np.max(np.abs(dense_out - want)) <= 1e-14 * cond * scale
         assert np.max(np.abs(sparse_out - dense_out[pairs[:, 0], pairs[:, 1]])) \
