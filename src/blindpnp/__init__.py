@@ -8,8 +8,8 @@ from .errors import (BlindPnpError, DegenerateGeometryError,
                      InstanceFormatError, NumericalError,
                      SingularHessianError, StageError, ValidationError)
 from .geometry import (Pose, angular_reprojection_error, exp_so3,
-                       geodesic_rotation_angle, inlier_objective, log_so3,
-                       make_intrinsics, translation_error)
+                       geodesic_rotation_angle, log_so3, make_intrinsics,
+                       translation_error)
 from .assignment import (correspondences_from_pose, hungarian, one_to_one,
                          top_k_select)
 from .transport import TransportPlan, sinkhorn_forward, sinkhorn_vjp
@@ -18,9 +18,9 @@ from .pose_solvers import (CandidateSet, RansacConfig, RobustEstimate, p3p,
 from .weighted_pnp import (PnPProblem, PnPSolution, PnPSolverConfig,
                            SecondOrderData, SparseWeights, pnp_objective,
                            pnp_second_order, pnp_solve, pnp_vjp)
-from .losses import LossConfig, correspondence_loss, pose_loss, total_loss
+from .losses import LossConfig, correspondence_loss, pose_loss
 from .synth import (PointSets, SynthConfig, generate_instance, load_instance,
-                    oracle_cost, oracle_probability, save_instance)
+                    oracle_cost, save_instance)
 from .pipeline import (AlternationResult, PipelineConfig, PipelineResult,
                        StageSeconds, alternation_baseline, backward, solve)
 
@@ -32,8 +32,8 @@ __all__ = [
     "StageError",
     # geometry
     "Pose", "exp_so3", "log_so3", "make_intrinsics",
-    "angular_reprojection_error", "inlier_objective",
-    "geodesic_rotation_angle", "translation_error",
+    "angular_reprojection_error", "geodesic_rotation_angle",
+    "translation_error",
     # assignment
     "hungarian", "one_to_one", "correspondences_from_pose", "top_k_select",
     # transport
@@ -46,10 +46,10 @@ __all__ = [
     "SparseWeights", "pnp_objective", "pnp_solve", "pnp_second_order",
     "pnp_vjp",
     # losses
-    "LossConfig", "correspondence_loss", "pose_loss", "total_loss",
+    "LossConfig", "correspondence_loss", "pose_loss",
     # synthetic data
     "PointSets", "SynthConfig", "generate_instance", "save_instance",
-    "load_instance", "oracle_cost", "oracle_probability",
+    "load_instance", "oracle_cost",
     # pipeline
     "PipelineConfig", "PipelineResult", "StageSeconds", "solve", "backward",
     "alternation_baseline", "AlternationResult",

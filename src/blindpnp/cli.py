@@ -7,6 +7,10 @@ are the one exception; they live in dedicated runtime columns (solve)
 or a separate timings file (benchmark) so the metric tables stay
 byte-identical.
 
+`solve` and `benchmark` set `--mu`, `--ransac-iterations`,
+`--refine-iterations` and `--refine-tolerance`; their defaults, and
+every other pipeline setting, are the library's.
+
 Exit codes: 0 success, 1 usage error, 2 runtime or numerical failure.
 """
 
@@ -23,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .errors import BlindPnpError
+from .errors import BlindPnpError, ValidationError
 from .geometry import Pose, exp_so3, log_so3
 from .gradcheck import ALL_CHECKS, run_all
 from .pipeline import (PipelineConfig, alternation_baseline, pose_errors,
@@ -40,6 +44,11 @@ TIMING_SCHEMA = "blindpnp-timing-v1"
 
 _USAGE_EXIT = 1
 _FAILURE_EXIT = 2
+
+# the alternation baseline starts at the true pose, turned this many degrees
+# about a random axis and shifted by Gaussian noise of this sigma
+_BASELINE_INIT_DEG = 10.0
+_BASELINE_INIT_TRANS = 0.1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,48 +78,40 @@ def _write_manifest(out_dir: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _pipeline_config(args) -> PipelineConfig:
-    return PipelineConfig(
-        mu=args.mu,
-        k_factor=args.k_factor,
-        sinkhorn_tol=args.sinkhorn_tol,
-        sinkhorn_anneal=args.sinkhorn_anneal,
-        ransac=RansacConfig(inlier_threshold=args.ransac_threshold,
-                            max_iterations=args.ransac_iterations,
-                            confidence=args.ransac_confidence,
-                            seed=args.ransac_seed),
-        solver=PnPSolverConfig(max_iterations=args.refine_iterations,
-                               gradient_tolerance=args.refine_tolerance))
+def _pipeline_config(args) -> PipelineConfig | None:
+    """The run's pipeline config, built once before any instance is
+    solved; None after reporting a setting that it rejects."""
+    try:
+        return PipelineConfig(
+            mu=args.mu,
+            ransac=RansacConfig(max_iterations=args.ransac_iterations),
+            solver=PnPSolverConfig(max_iterations=args.refine_iterations,
+                                   gradient_tolerance=args.refine_tolerance))
+    except ValidationError as exc:
+        print(f"error: invalid pipeline setting: {exc}", file=sys.stderr)
+        return None
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mu", type=float, default=0.1,
+    p.add_argument("--mu", type=float, default=PipelineConfig.mu,
                    help="entropy regularization of the transport layer")
-    p.add_argument("--k-factor", type=float, default=1.5,
-                   help="candidate pool size as a multiple of min(m, n)")
-    p.add_argument("--sinkhorn-tol", type=float, default=1e-9)
-    p.add_argument("--sinkhorn-anneal", action="store_true",
-                   help="warm-start the transport solve from larger mu")
-    p.add_argument("--ransac-threshold", type=float, default=0.01)
-    p.add_argument("--ransac-iterations", type=int, default=1000)
-    p.add_argument("--ransac-confidence", type=float, default=0.99)
-    p.add_argument("--ransac-seed", type=int, default=0)
-    p.add_argument("--refine-iterations", type=int, default=200,
+    p.add_argument("--ransac-iterations", type=int,
+                   default=RansacConfig.max_iterations)
+    p.add_argument("--refine-iterations", type=int,
+                   default=PnPSolverConfig.max_iterations,
                    help="cap on damped Newton steps of the pose refinement")
-    p.add_argument("--refine-tolerance", type=float, default=1e-9,
+    p.add_argument("--refine-tolerance", type=float,
+                   default=PnPSolverConfig.gradient_tolerance,
                    help="gradient norm at which the refined pose converges")
 
 
 def _add_cost_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cost", choices=("oracle", "file"), default="oracle",
-                   help="cost matrix source")
+                   help="cost matrix source; file reads <instance path>.cost")
     p.add_argument("--sharpness", type=float, default=5.0,
                    help="oracle cost on non-matching pairs")
     p.add_argument("--cost-noise", type=float, default=0.0,
                    help="additive Gaussian noise on the oracle cost")
-    p.add_argument("--cost-seed", type=int, default=0)
-    p.add_argument("--cost-suffix", default=".cost",
-                   help="with --cost file, read <instance path><suffix>")
 
 
 def _collect_instances(paths) -> list[str]:
@@ -132,8 +133,8 @@ def _instance_id(path: str) -> str:
 def _cost_for(instance: PointSets, path: str, args) -> np.ndarray:
     if args.cost == "oracle":
         return oracle_cost(instance, args.sharpness,
-                           noise_sigma=args.cost_noise, seed=args.cost_seed)
-    cost_path = path + args.cost_suffix
+                           noise_sigma=args.cost_noise)
+    cost_path = path + ".cost"
     M = np.loadtxt(cost_path, ndmin=2)
     if M.shape != (instance.m, instance.n):
         raise BlindPnpError(
@@ -199,13 +200,12 @@ def _add_errors(row: dict, method: str, pose: Pose, instance) -> None:
         row[f"{method}_{metric}"] = value
 
 
-def _solve_instance(row: dict, path: str, args):
+def _solve_instance(row: dict, path: str, config: PipelineConfig, args):
     """Solve one instance into its solve.csv row; m and n go in first, so
-    an error row keeps them.  Returns the instance and its config."""
+    an error row keeps them.  Returns the instance."""
     instance = load_instance(path)
     row["m"], row["n"] = instance.m, instance.n
     M = _cost_for(instance, path, args)
-    config = _pipeline_config(args)
     result = solve(M, instance, config)
     _add_errors(row, "ransac", result.ransac_pose, instance)
     _add_errors(row, "refined", result.refined_pose, instance)
@@ -213,7 +213,7 @@ def _solve_instance(row: dict, path: str, args):
     row["refine_converged"] = result.refined.converged
     row["low_inlier"] = result.ransac_estimate.low_inlier
     row["runtime_seconds"] = result.seconds.total
-    return instance, config
+    return instance
 
 
 def _benchmark_one(row: dict, instance: PointSets, config: PipelineConfig,
@@ -223,20 +223,20 @@ def _benchmark_one(row: dict, instance: PointSets, config: PipelineConfig,
     rng = np.random.default_rng(int(instance.metadata.get("seed", 0)) + 991)
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
-    dr = log_so3(exp_so3(axis * np.radians(args.baseline_init_deg))
+    dr = log_so3(exp_so3(axis * np.radians(_BASELINE_INIT_DEG))
                  @ instance.gt_pose.matrix())
     init = Pose(dr, instance.gt_pose.t
-                + rng.standard_normal(3) * args.baseline_init_trans)
+                + rng.standard_normal(3) * _BASELINE_INIT_TRANS)
     alt = alternation_baseline(instance, init, theta=args.theta,
-                               solver=config.solver, time_limit=args.time_limit)
+                               solver=config.solver)
     _add_errors(row, "alternation", alt.pose, instance)
 
 
-def _instance_row(path: str, args, extend) -> dict:
+def _instance_row(path: str, config: PipelineConfig, args, extend) -> dict:
     """Worker: one instance's row; a failure fills the `error` column."""
     row = {"instance": _instance_id(path)}
     try:
-        instance, config = _solve_instance(row, path, args)
+        instance = _solve_instance(row, path, config, args)
         if extend is not None:
             extend(row, instance, config, args)
         row["error"] = ""
@@ -245,10 +245,11 @@ def _instance_row(path: str, args, extend) -> dict:
     return row
 
 
-def _map_instances(paths, args, extend=None) -> list[dict]:
+def _map_instances(paths, config: PipelineConfig, args,
+                   extend=None) -> list[dict]:
     """Rows of the instance files in order, each solved and then passed
     to `extend(row, instance, config, args)`; --jobs N uses N processes."""
-    work = partial(_instance_row, args=args, extend=extend)
+    work = partial(_instance_row, config=config, args=args, extend=extend)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             return list(pool.map(work, paths))
@@ -266,6 +267,9 @@ def _write_table(path: str, schema: str, header, rows) -> None:
 
 
 def cmd_solve(args) -> int:
+    config = _pipeline_config(args)
+    if config is None:
+        return _USAGE_EXIT
     files = _collect_instances(args.instances)
     if not files:
         print("error: no instance files found", file=sys.stderr)
@@ -276,7 +280,7 @@ def cmd_solve(args) -> int:
         return _FAILURE_EXIT
     os.makedirs(args.out, exist_ok=True)
 
-    rows = _map_instances(files, args)
+    rows = _map_instances(files, config, args)
     csv_path = os.path.join(args.out, "solve.csv")
     _write_table(csv_path, SOLVE_SCHEMA, _SOLVE_COLUMNS,
                  [[row.get(key, "") for key in _SOLVE_COLUMNS] for row in rows])
@@ -310,6 +314,9 @@ def cmd_benchmark(args) -> int:
         print(f"error: --thresholds takes positive finite degrees, got "
               f"{args.thresholds!r}", file=sys.stderr)
         return _USAGE_EXIT
+    config = _pipeline_config(args)
+    if config is None:
+        return _USAGE_EXIT
     files = _collect_instances([args.dataset])
     if not files:
         print(f"error: no instances in dataset {args.dataset!r}",
@@ -317,7 +324,7 @@ def cmd_benchmark(args) -> int:
         return _USAGE_EXIT
     os.makedirs(args.out, exist_ok=True)
 
-    rows = _map_instances(files, args, _benchmark_one)
+    rows = _map_instances(files, config, args, _benchmark_one)
     failures = [r for r in rows if r["error"]]
     for row in failures:
         print(f"error: {row['instance']}: {row['error']}", file=sys.stderr)
@@ -360,6 +367,10 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seeds is not None and args.seeds < 1:
+        print(f"error: --seeds takes a positive number of cases, got "
+              f"{args.seeds}", file=sys.stderr)
+        return _USAGE_EXIT
     names = args.checks.split(",") if args.checks else None
     if names:
         unknown = [n for n in names if n not in ALL_CHECKS]
@@ -414,11 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--jobs", type=int, default=1)
     b.add_argument("--thresholds", default="5,10,15",
                    help="rotation recall thresholds in degrees")
-    b.add_argument("--baseline-init-deg", type=float, default=10.0,
-                   help="rotation perturbation of the baseline's init")
-    b.add_argument("--baseline-init-trans", type=float, default=0.1)
-    b.add_argument("--time-limit", type=float, default=None,
-                   help="per-instance wall-clock guard for the baseline")
     b.add_argument("--theta", type=float, default=0.01,
                    help="angular inlier threshold of the alternation baseline")
     _add_cost_flags(b)

@@ -229,14 +229,6 @@ def pixels_to_bearings(uv, K) -> np.ndarray:
     return rays / np.linalg.norm(rays, axis=1, keepdims=True)
 
 
-def bearings_to_pixels(bearings, K) -> np.ndarray:
-    """Inverse of pixels_to_bearings (bearings must have positive z)."""
-    K = validate_intrinsics(K)
-    b = np.asarray(bearings, dtype=np.float64)
-    proj = (K @ b.T).T
-    return proj[:, :2] / proj[:, 2:3]
-
-
 def validate_intrinsics(K) -> np.ndarray:
     K = np.asarray(K, dtype=np.float64)
     if K.shape != (3, 3):
@@ -357,24 +349,6 @@ def angular_reprojection_error(bearings, points, pairs, pose: Pose) -> float:
     q = transform_points(pose, np.asarray(points, dtype=np.float64))
     angles = ray_angles(f[p[:, 0]], q[p[:, 1]])
     return float(angles.sum()) / float(p.shape[0])
-
-
-def inlier_objective(bearings, points, pairs, pose: Pose, theta: float) -> int:
-    """(#inliers - #outliers) among the listed one-to-one pairs.
-
-    A pair is an inlier when the angle between its bearing and its
-    transformed point is at most theta.  Uses the exact angle measure so
-    thresholds down to 1e-6 classify noiseless data correctly.
-    """
-    if not (0.0 < theta < np.pi):
-        raise ValidationError(f"theta must lie in (0, pi), got {theta}")
-    p = validate_one_to_one(pairs)
-    if p.shape[0] == 0:
-        return 0
-    f = np.asarray(bearings, dtype=np.float64)[p[:, 0]]
-    q = transform_points(pose, np.asarray(points, dtype=np.float64))[p[:, 1]]
-    inlier = ray_angles(f, q, exact=True) <= theta
-    return int(2 * inlier.sum() - p.shape[0])
 
 
 def geodesic_rotation_angle(R, R_gt) -> float:

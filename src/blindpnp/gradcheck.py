@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingularHessianError, ValidationError
+from .errors import SingularHessianError
 from .geometry import Pose
-from .losses import correspondence_loss, pose_loss, total_loss
+from .losses import correspondence_loss, pose_loss
 from .pipeline import PipelineConfig, backward, solve
 from .pose_solvers import RansacConfig
 from .synth import SynthConfig, generate_instance, oracle_cost
@@ -69,7 +69,9 @@ def _central(f, x, index, step):
 def _per_seed(name, seeds, tol, corrupt, compare) -> CheckResult:
     """Worst relative error of the (analytic, reference) pairs that
     `compare(seed)` returns, analytic negated under `corrupt`; a string
-    return notes the seed as expected-singular with that condition."""
+    return notes the seed as expected-singular with that condition.  No
+    seeds, no pass."""
+    seeds = list(seeds)
     sign = -1.0 if corrupt else 1.0
     worst = 0.0
     failures = []
@@ -84,20 +86,16 @@ def _per_seed(name, seeds, tol, corrupt, compare) -> CheckResult:
         worst = max(worst, err)
         if err > tol:
             failures.append((seed, err))
-    return CheckResult(name, worst, tol, worst <= tol, len(list(seeds)),
-                       failures, notes)
+    return CheckResult(name, worst, tol, bool(seeds) and worst <= tol,
+                       len(seeds), failures, notes)
 
 
-def _random_stationary_problem(seed: int, m: int = 10, n: int = 10):
-    """A weighted problem solved to a tight stationary point."""
-    if m != n:
-        raise ValidationError(
-            f"stationary pose problems pair bearing i with point i, so they "
-            f"need m == n; got m = {m}, n = {n}")
+def _random_stationary_problem(seed: int, n: int = 10):
+    """A weighted n x n problem solved to a tight stationary point."""
     rng = np.random.default_rng(seed)
     inst = generate_instance(SynthConfig(
         n_points=n, seed=seed, pixel_noise_sigma=1.0))
-    P = rng.uniform(0.0, 1.0, (m, n)) * 0.4
+    P = rng.uniform(0.0, 1.0, (n, n)) * 0.4
     P[inst.gt_pairs[:, 0], inst.gt_pairs[:, 1]] += 1.0
     P = P / P.sum()
     problem = PnPProblem(bearings=inst.bearings, points=inst.points,
@@ -152,7 +150,7 @@ def check_pnp_gradient(seeds=range(10), tol: float = 1e-5,
 
 
 def check_pnp_second_order(seeds=range(10), tol: float = 1e-5,
-                           fd_step: float = 1e-6, m: int = 10, n: int = 10,
+                           fd_step: float = 1e-6, n: int = 10,
                            corrupt: bool = False) -> CheckResult:
     """Pose Hessian and mixed-derivative columns against FD of the gradient.
 
@@ -160,7 +158,7 @@ def check_pnp_second_order(seeds=range(10), tol: float = 1e-5,
     reported as expected-singular and skipped, not failed.
     """
     def compare(seed):
-        problem, solution, P = _random_stationary_problem(seed, m=m, n=n)
+        problem, solution, P = _random_stationary_problem(seed, n=n)
         pose = solution.pose
         data = pnp_second_order(problem, pose)
         if data.singular:
@@ -188,13 +186,13 @@ def check_pnp_second_order(seeds=range(10), tol: float = 1e-5,
 
 
 def check_pnp_vjp(seeds=range(10), tol: float = 1e-4, fd_step: float = 1e-6,
-                  probes_per_case: int = 8, m: int = 10, n: int = 10,
+                  probes_per_case: int = 8, n: int = 10,
                   corrupt: bool = False) -> CheckResult:
     """Implicit pose-layer backward against re-solve finite differences."""
     tight = PnPSolverConfig(gradient_tolerance=1e-10)
 
     def compare(seed):
-        problem, solution, P = _random_stationary_problem(seed, m=m, n=n)
+        problem, solution, P = _random_stationary_problem(seed, n=n)
         rng = np.random.default_rng(seed + 3)
         grad_pose = rng.standard_normal(6)
         try:
@@ -300,7 +298,7 @@ def check_end_to_end(seeds=range(3), gammas=(0.0, 1.0), tol: float = 1e-3,
                         and np.array_equal(sel[1], base_sel[1])):
                     raise _CandidatesChanged
                 lcx, _, plx = losses_of(r)
-                return total_loss(lcx, plx.total, gamma)
+                return lcx + gamma * plx.total
 
             for flat in picks:
                 i, j = divmod(int(flat), inst.n)

@@ -104,9 +104,3 @@ def pose_loss(pose: Pose, gt_pose: Pose) -> PoseLoss:
         grad[3:] = diff / l_t
     return PoseLoss(total=l_r + l_t, rotation=l_r, translation=l_t, grad=grad)
 
-
-def total_loss(l_c: float, l_p: float, gamma_p: float) -> float:
-    """Weighted sum of the correspondence and pose losses."""
-    if gamma_p < 0:
-        raise ValidationError("gamma_p must be nonnegative")
-    return float(l_c + gamma_p * l_p)

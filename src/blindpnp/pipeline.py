@@ -167,8 +167,8 @@ class AlternationResult:
 
 
 def alternation_baseline(instance: PointSets, init: Pose, theta: float,
-                         solver: PnPSolverConfig | None = None,
-                         time_limit: float | None = None) -> AlternationResult:
+                         solver: PnPSolverConfig | None = None
+                         ) -> AlternationResult:
     """Pose-prior local method: alternate correspondence extraction and
     pose refitting until the pair set stabilizes, for at most 50 rounds.
 
@@ -180,8 +180,6 @@ def alternation_baseline(instance: PointSets, init: Pose, theta: float,
     solver = solver or PnPSolverConfig()
     pose = init
     prev_pairs = None
-    started = time.perf_counter()
-    round_no = 0   # the rounds that ran, when the loop ends without a return
     for round_no in range(1, _ALTERNATION_ROUNDS + 1):
         pairs = correspondences_from_pose(instance.bearings, instance.points,
                                           pose, theta)
@@ -198,11 +196,8 @@ def alternation_baseline(instance: PointSets, init: Pose, theta: float,
                              weights=SparseWeights(pairs=pairs, values=values),
                              init=pose)
         pose = pnp_solve(problem, solver).pose
-        if time_limit is not None and time.perf_counter() - started > time_limit:
-            break
-    return AlternationResult(pose=pose, rounds=round_no, stalled=False,
-                             correspondences=prev_pairs if prev_pairs is not None
-                             else np.zeros((0, 2), dtype=np.int64))
+    return AlternationResult(pose=pose, rounds=_ALTERNATION_ROUNDS,
+                             stalled=False, correspondences=prev_pairs)
 
 
 def quartiles(values) -> tuple[float, float, float]:

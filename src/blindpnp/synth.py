@@ -32,7 +32,6 @@ from .errors import InstanceFormatError, ValidationError
 from .geometry import (Pose, check_pairs_in_range, exp_so3, log_so3,
                        make_intrinsics, pixels_to_bearings,
                        validate_one_to_one)
-from .transport import TransportPlan, sinkhorn_forward
 
 _FORMAT_HEADER = "blindpnp-instance v1"
 EULER_CONVENTION = "zyx-intrinsic"
@@ -194,16 +193,6 @@ def oracle_cost(instance: PointSets, sharpness: float,
         rng = np.random.default_rng(seed)
         M = M + rng.normal(0.0, noise_sigma, M.shape)
     return M
-
-
-def oracle_probability(instance: PointSets, sharpness: float,
-                       noise_sigma: float = 0.0, seed: int = 0,
-                       mu: float = 0.1) -> TransportPlan:
-    """Correspondence probabilities from the oracle cost via the
-    transport layer; concentrates on ground-truth pairs as sharpness
-    grows."""
-    M = oracle_cost(instance, sharpness, noise_sigma=noise_sigma, seed=seed)
-    return sinkhorn_forward(M, mu=mu)
 
 
 # ---------------------------------------------------------------------------

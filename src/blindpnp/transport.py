@@ -63,10 +63,6 @@ class TransportPlan:
     residual: float          # final max |marginal - 1/m or 1/n|, both sides
     converged: bool
 
-    @property
-    def shape(self):
-        return self.P.shape
-
 
 def _logsumexp_rows(A):
     """log(sum(exp(A), axis=1)) without scipy overhead; A is 2-d."""

@@ -129,6 +129,12 @@ class PnPSolverConfig:
     # Newton polish reached.  Kept because perfbench/run.py still sets it.
     newton_polish: bool = False
 
+    def __post_init__(self):
+        if not self.gradient_tolerance > 0:  # NaN fails too
+            raise ValidationError("refine gradient_tolerance must be positive")
+        if self.max_iterations < 0:
+            raise ValidationError("refine max_iterations must be nonnegative")
+
 
 @dataclass(frozen=True)
 class PnPSolution:

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from blindpnp.cli import main
+from blindpnp.pipeline import PipelineConfig, pose_errors, solve
+from blindpnp.synth import load_instance, oracle_cost
 
 
 def run_cli(args):
@@ -133,6 +135,40 @@ class TestSolve:
         assert rows_without_runtime(serial) == rows_without_runtime(parallel)
 
 
+class TestPipelineFlags:
+    def test_defaults_are_the_library_defaults(self, tmp_path):
+        # a CLI default that drifts from its config class moves the poses
+        data = tmp_path / "data"
+        run_cli(["generate", "--count", "2", "--seed", "5", "--n-points", "40",
+                 "--outlier-fraction", "0.2", "--out", str(data)])
+        out = tmp_path / "sol"
+        assert run_cli(["solve", str(data), "--out", str(out)]) == 0
+        lines = (out / "solve.csv").read_text().splitlines()
+        header = lines[1].split(",")
+        assert len(lines) == 4
+        for line in lines[2:]:
+            row = dict(zip(header, line.split(",")))
+            inst = load_instance(data / f"{row['instance']}.txt")
+            result = solve(oracle_cost(inst, 5.0), inst, PipelineConfig())
+            for method, pose in (("ransac", result.ransac_pose),
+                                 ("refined", result.refined_pose)):
+                for metric, value in pose_errors(pose, inst).items():
+                    assert row[f"{method}_{metric}"] == format(value, ".17g")
+
+    @pytest.mark.parametrize("flags", [
+        ["--refine-tolerance", "nan"], ["--refine-tolerance", "0"],
+        ["--refine-iterations", "-1"], ["--ransac-iterations", "0"]])
+    @pytest.mark.parametrize("command", ["solve", "benchmark"])
+    def test_bad_setting_is_usage_error(self, dataset, tmp_path, capsys,
+                                        command, flags):
+        out = tmp_path / "o"
+        where = ([str(dataset)] if command == "solve"
+                 else ["--dataset", str(dataset)])
+        assert run_cli([command, *where, "--out", str(out), *flags]) == 1
+        assert "invalid pipeline setting" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any instance was solved
+
+
 class TestBenchmark:
     def test_tables_and_recall_columns(self, dataset, tmp_path):
         out = tmp_path / "bench"
@@ -230,6 +266,15 @@ class TestGradcheck:
                         "--seeds", "2", "--inject-bug", "loss_gradients"])
         assert code == 2
         assert "[FAIL]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seeds", ["-2", "0"])
+    def test_seeds_below_one_are_usage_errors(self, capsys, seeds):
+        # zero cases would print [PASS] lines that checked nothing
+        assert run_cli(["gradcheck", "--seeds", seeds,
+                        "--checks", "pnp_vjp,loss_gradients"]) == 1
+        captured = capsys.readouterr()
+        assert "--seeds" in captured.err
+        assert "[PASS]" not in captured.out
 
     def test_unknown_check_is_usage_error(self, capsys):
         assert run_cli(["gradcheck", "--checks", "warp-drive"]) == 1

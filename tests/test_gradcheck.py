@@ -4,7 +4,6 @@ and singular-case reporting."""
 import numpy as np
 import pytest
 
-from blindpnp.errors import ValidationError
 from blindpnp.gradcheck import (ALL_CHECKS, check_end_to_end,
                                 check_loss_gradients, check_pnp_gradient,
                                 check_pnp_second_order, check_pnp_vjp,
@@ -85,27 +84,22 @@ class TestSingularCases:
     def test_single_pair_reported_expected_singular(self):
         # a one-pair pose problem is underdetermined; the harness notes
         # it instead of failing
-        result = check_pnp_second_order(seeds=range(1), m=1, n=1)
+        result = check_pnp_second_order(seeds=range(1), n=1)
         assert result.passed
         assert any("expected-singular" in note for note in result.notes)
 
     def test_vjp_single_pair_also_noted(self):
-        result = check_pnp_vjp(seeds=range(1), m=1, n=1)
+        result = check_pnp_vjp(seeds=range(1), n=1)
         assert result.passed
         assert any("expected-singular" in note for note in result.notes)
 
 
 class TestSizes:
-    @pytest.mark.parametrize("check", [check_pnp_second_order, check_pnp_vjp])
-    def test_unequal_sizes_rejected(self, check):
-        with pytest.raises(ValidationError, match="m == n"):
-            check(seeds=range(1), m=2, n=3)
-
     @pytest.mark.parametrize("check", [check_pnp_vjp])
     def test_fewer_entries_than_probes(self, check):
         # 9 weight entries, fewer than the 12 probes a case asks for: every
         # entry is probed, and the cases are compared, not skipped
-        result = check(seeds=range(2), m=3, n=3, probes_per_case=12)
+        result = check(seeds=range(2), n=3, probes_per_case=12)
         assert result.passed
         assert result.cases == 2
         assert not result.notes
@@ -114,10 +108,19 @@ class TestSizes:
     def test_two_points_are_expected_singular(self, check):
         # two bearings fix only 4 of the 6 pose coordinates; an arbitrary
         # null-space gradient must not be compared against the re-solve
-        result = check(seeds=range(10), m=2, n=2)
+        result = check(seeds=range(10), n=2)
         assert result.passed
         assert len(result.notes) == 10
         assert all("expected-singular" in note for note in result.notes)
+
+
+class TestNoCases:
+    @pytest.mark.parametrize("name", sorted(ALL_CHECKS))
+    def test_no_seeds_does_not_pass(self, name):
+        # a check that compared nothing has shown nothing
+        result = ALL_CHECKS[name](seeds=[])
+        assert not result.passed
+        assert result.cases == 0
 
 
 def test_all_checks_registry_complete():

@@ -6,7 +6,7 @@ import pytest
 
 from blindpnp.errors import ValidationError
 from blindpnp.geometry import Pose
-from blindpnp.losses import correspondence_loss, pose_loss, total_loss
+from blindpnp.losses import correspondence_loss, pose_loss
 from blindpnp.transport import sinkhorn_forward
 
 from conftest import exact_bearings, random_pose
@@ -139,22 +139,3 @@ class TestPoseLoss:
         grad = pose_loss(shifted, pose).grad
         np.testing.assert_array_equal(grad[:3], np.zeros(3))
         assert np.linalg.norm(grad[3:]) > 0
-
-
-class TestTotalLoss:
-    def test_correspondence_only_phase(self):
-        assert total_loss(-0.7, 123.0, 0.0) == -0.7
-
-    def test_weighted_example(self):
-        assert total_loss(-1.0, 0.5, 1.0) == -0.5
-
-    def test_linear_in_gamma(self, rng):
-        lc, lp = -0.3, 0.8
-        g = 0.37
-        lhs = total_loss(lc, lp, 2 * g) - total_loss(lc, lp, 0.0)
-        rhs = 2 * (total_loss(lc, lp, g) - total_loss(lc, lp, 0.0))
-        assert abs(lhs - rhs) <= 1e-15
-
-    def test_negative_gamma_rejected(self):
-        with pytest.raises(ValidationError):
-            total_loss(0.0, 0.0, -0.1)

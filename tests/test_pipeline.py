@@ -237,12 +237,6 @@ class TestAlternation:
         result = alternation_baseline(inst, far, theta=0.01)
         assert result.rounds <= 50
 
-    def test_time_limit_reports_rounds_run(self):
-        inst = noiseless_instance(n=50, seed=24)
-        result = alternation_baseline(inst, inst.gt_pose, theta=0.05,
-                                      time_limit=0.0)
-        assert result.rounds == 1
-
     def test_empty_correspondences_stall(self):
         inst = noiseless_instance(n=20, seed=23)
         away = Pose(np.array([np.pi, 0.0, 0.0]), np.zeros(3))

@@ -5,23 +5,27 @@ import pytest
 
 from blindpnp.assignment import top_k_select
 from blindpnp.errors import InstanceFormatError, ValidationError
-from blindpnp.geometry import (bearings_to_pixels, clamped_arccos,
-                               inlier_objective, transform_points)
+from blindpnp.geometry import clamped_arccos, ray_angles, transform_points
 from blindpnp.synth import (EULER_CONVENTION, EULER_MAX, TRANSLATION_RANGE,
                             Z_OFFSET, PointSets, SynthConfig,
-                            generate_instance, load_instance,
-                            oracle_probability, save_instance)
+                            generate_instance, load_instance, oracle_cost,
+                            save_instance)
+from blindpnp.transport import sinkhorn_forward
+
+
+def to_pixels(directions, K):
+    """Pixel coordinates of camera-frame directions in front of the camera."""
+    proj = directions @ K.T
+    return proj[:, :2] / proj[:, 2:]
 
 
 def pixel_residuals(instance, pose):
     """Per-pair pixel residuals of ground-truth pairs at a pose: for a
     generated instance, the injected pixel perturbations."""
     pairs = instance.gt_pairs
-    observed = bearings_to_pixels(instance.bearings[pairs[:, 0]],
-                                  instance.intrinsics)
-    q = instance.points[pairs[:, 1]] @ pose.matrix().T + pose.t
-    predicted = bearings_to_pixels(q / np.linalg.norm(q, axis=1, keepdims=True),
-                                   instance.intrinsics)
+    observed = to_pixels(instance.bearings[pairs[:, 0]], instance.intrinsics)
+    predicted = to_pixels(transform_points(pose, instance.points[pairs[:, 1]]),
+                          instance.intrinsics)
     return observed - predicted
 
 
@@ -37,8 +41,11 @@ class TestGeneration:
     def test_exact_construction_when_noiseless(self):
         inst = generate_instance(SynthConfig(n_points=60, seed=4,
                                              pixel_noise_sigma=0.0))
-        assert inlier_objective(inst.bearings, inst.points, inst.gt_pairs,
-                                inst.gt_pose, 1e-6) == 60
+        pairs = inst.gt_pairs
+        assert pairs.shape[0] == 60
+        q = transform_points(inst.gt_pose, inst.points)
+        assert np.all(ray_angles(inst.bearings[pairs[:, 0]], q[pairs[:, 1]],
+                                 exact=True) <= 1e-6)
 
     def test_deterministic_per_seed(self):
         a = generate_instance(SynthConfig(n_points=200, seed=9))
@@ -117,19 +124,19 @@ class TestOracleProbability:
     def test_sharp_oracle_recovers_pairs(self):
         inst = generate_instance(SynthConfig(n_points=40, seed=7,
                                              pixel_noise_sigma=0.0))
-        plan = oracle_probability(inst, sharpness=5.0)
+        plan = sinkhorn_forward(oracle_cost(inst, sharpness=5.0), mu=0.1)
         rows, cols, _ = top_k_select(plan.P, inst.gt_pairs.shape[0])
         assert set(zip(rows.tolist(), cols.tolist())) \
             == set(map(tuple, inst.gt_pairs.tolist()))
 
     def test_zero_sharpness_uniform(self):
         inst = generate_instance(SynthConfig(n_points=10, seed=7))
-        plan = oracle_probability(inst, sharpness=0.0)
+        plan = sinkhorn_forward(oracle_cost(inst, sharpness=0.0), mu=0.1)
         np.testing.assert_allclose(plan.P, np.full((10, 10), 0.01), atol=1e-12)
 
     def test_single_point_instance(self):
         inst = generate_instance(SynthConfig(n_points=1, seed=7))
-        plan = oracle_probability(inst, sharpness=3.0)
+        plan = sinkhorn_forward(oracle_cost(inst, sharpness=3.0), mu=0.1)
         np.testing.assert_allclose(plan.P, [[1.0]], atol=1e-12)
 
     def test_requires_ground_truth(self):
@@ -137,7 +144,7 @@ class TestOracleProbability:
         stripped = PointSets(bearings=inst.bearings, points=inst.points,
                              intrinsics=inst.intrinsics)
         with pytest.raises(ValidationError):
-            oracle_probability(stripped, sharpness=1.0)
+            oracle_cost(stripped, sharpness=1.0)
 
 
 class TestInstanceIO:
@@ -245,7 +252,6 @@ class TestInstanceIO:
         # reloaded instance reproduces the direct solve exactly
         from blindpnp.pipeline import PipelineConfig, solve
         from blindpnp.pose_solvers import RansacConfig
-        from blindpnp.synth import oracle_cost
 
         inst = generate_instance(SynthConfig(n_points=25, seed=17,
                                              pixel_noise_sigma=0.0))

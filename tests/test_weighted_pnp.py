@@ -218,6 +218,16 @@ class TestSolve:
         assert (a.objective_value, a.gradient_norm, a.iterations) == \
             (b.objective_value, b.gradient_norm, b.iterations)
 
+    @pytest.mark.parametrize("bad", [
+        {"gradient_tolerance": np.nan}, {"gradient_tolerance": 0.0},
+        {"gradient_tolerance": -1e-9}, {"max_iterations": -1}])
+    def test_config_validation(self, bad):
+        # a NaN tolerance would otherwise skip every step and report
+        # "not converged" without a word
+        with pytest.raises(ValidationError, match="refine"):
+            PnPSolverConfig(**bad)
+        assert PnPSolverConfig(max_iterations=0).max_iterations == 0
+
     @pytest.mark.parametrize("start", ["far", "converged"])
     def test_nan_hessian_raises(self, rng, monkeypatch, start):
         # "far" fails in the damped steps, "converged" (|g| already below
