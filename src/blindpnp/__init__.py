@@ -14,7 +14,7 @@ from .assignment import (correspondences_from_pose, hungarian, one_to_one,
                          top_k_select)
 from .transport import TransportPlan, sinkhorn_forward, sinkhorn_vjp
 from .pose_solvers import (CandidateSet, RansacConfig, RobustEstimate, p3p,
-                           ransac_p3p)
+                           ransac_p3p, refit_to_inliers)
 from .weighted_pnp import (PnPProblem, PnPSolution, PnPSolverConfig,
                            SecondOrderData, SparseWeights, pnp_objective,
                            pnp_second_order, pnp_solve, pnp_vjp)
@@ -40,7 +40,7 @@ __all__ = [
     "TransportPlan", "sinkhorn_forward", "sinkhorn_vjp",
     # pose solvers
     "p3p", "ransac_p3p", "CandidateSet", "RansacConfig",
-    "RobustEstimate",
+    "RobustEstimate", "refit_to_inliers",
     # weighted pose layer
     "PnPProblem", "PnPSolution", "PnPSolverConfig", "SecondOrderData",
     "SparseWeights", "pnp_objective", "pnp_solve", "pnp_second_order",

@@ -4,8 +4,8 @@ Four operations: minimum-cost bipartite assignment (`hungarian`), its
 sparse form over a pair list (`one_to_one`: pairs that share no row or
 column with another pair are kept as they are, and only the others go
 through `hungarian`), the pose-conditioned correspondence extraction
-(threshold the angular error, then `one_to_one`), and deterministic
-selection of the k most probable entries of a correspondence matrix.
+(threshold the angular error of all pairs or a pool, then `one_to_one`),
+and deterministic selection of the k most probable entries of a matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import Pose, _pairs_array, ray_angles, transform_points
+from .geometry import (Pose, _pairs_array, check_angle_threshold, ray_angles,
+                       transform_points)
 
 # Stand-in cost for the pairs absent from a conflict sub-matrix; far above
 # any angle (at most pi), so a matching that can avoid a sentinel will.
@@ -139,20 +140,27 @@ def one_to_one(pairs, costs) -> np.ndarray:
     return kept[np.argsort(kept[:, 0])]
 
 
-def correspondences_from_pose(bearings, points, pose: Pose,
-                              theta: float) -> np.ndarray:
-    """One-to-one pairs whose angular error at `pose` is at most theta.
+def correspondences_from_pose(bearings, points, pose: Pose, theta: float,
+                              pairs=None) -> np.ndarray:
+    """One-to-one pairs whose exact angular error at `pose` is at most
+    theta, from the (k, 2) (bearing, point) pool `pairs`, else all pairs.
 
     Pairs above the threshold are excluded up front; among the admissible
     ones `one_to_one` picks the largest set with the smallest total
     angular error.  Sorted by bearing; may be empty.
     """
-    if not (0.0 < theta < np.pi):
-        raise ValidationError(f"theta must lie in (0, pi), got {theta}")
-    angles = ray_angles(bearings, transform_points(pose, points), exact=True,
-                        pairwise=True)
+    check_angle_threshold(theta)
+    if pairs is None:
+        angles = ray_angles(bearings, transform_points(pose, points),
+                            exact=True, pairwise=True)
+        admissible = angles <= theta
+        return one_to_one(np.argwhere(admissible), angles[admissible])
+    pairs = _pairs_array(pairs)
+    f = np.asarray(bearings, dtype=np.float64)[pairs[:, 0]]
+    p = np.asarray(points, dtype=np.float64)[pairs[:, 1]]
+    angles = ray_angles(f, transform_points(pose, p), exact=True)
     admissible = angles <= theta
-    return one_to_one(np.argwhere(admissible), angles[admissible])
+    return one_to_one(pairs[admissible], angles[admissible])
 
 
 def top_k_select(P, k: int):

@@ -9,7 +9,8 @@ byte-identical.
 
 `solve` and `benchmark` set `--mu`, `--ransac-iterations`,
 `--refine-iterations` and `--refine-tolerance`; their defaults, and
-every other pipeline setting, are the library's.
+every other pipeline setting, are the library's.  Settings the library
+rejects, `--jobs` below 1 and `--theta` outside (0, pi) are usage errors.
 
 Exit codes: 0 success, 1 usage error, 2 runtime or numerical failure.
 """
@@ -28,13 +29,13 @@ import numpy as np
 
 from . import __version__
 from .errors import BlindPnpError, ValidationError
-from .geometry import Pose, exp_so3, log_so3
+from .geometry import Pose, check_angle_threshold, exp_so3, log_so3
 from .gradcheck import ALL_CHECKS, run_all
 from .pipeline import (PipelineConfig, alternation_baseline, pose_errors,
                        quartiles, recall, solve)
 from .pose_solvers import RansacConfig
-from .synth import PointSets, SynthConfig, generate_instance, load_instance, \
-    oracle_cost, save_instance
+from .synth import PointSets, SynthConfig, check_oracle_settings, \
+    generate_instance, load_instance, oracle_cost, save_instance
 from .weighted_pnp import PnPSolverConfig
 
 SOLVE_SCHEMA = "blindpnp-solve-v1"
@@ -79,9 +80,14 @@ def _write_manifest(out_dir: str, payload: dict) -> None:
 
 
 def _pipeline_config(args) -> PipelineConfig | None:
-    """The run's pipeline config, built once before any instance is
-    solved; None after reporting a setting that it rejects."""
+    """The run's pipeline config, built and its other settings checked
+    before any instance is solved; None after reporting a rejection."""
     try:
+        if args.jobs < 1:
+            raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
+        check_oracle_settings(args.sharpness, args.cost_noise)
+        if args.command == "benchmark":
+            check_angle_threshold(args.theta, "--theta")
         return PipelineConfig(
             mu=args.mu,
             ransac=RansacConfig(max_iterations=args.ransac_iterations),

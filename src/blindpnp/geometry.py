@@ -310,6 +310,12 @@ def check_bearings_and_points(bearings: np.ndarray, points: np.ndarray) -> None:
         raise ValidationError("points must be finite")
 
 
+def check_angle_threshold(theta, name: str = "theta") -> None:
+    """Reject an angular threshold outside (0, pi), NaN included."""
+    if not 0.0 < theta < np.pi:
+        raise ValidationError(f"{name} must lie in (0, pi), got {theta}")
+
+
 def _pairs_array(pairs) -> np.ndarray:
     """A (k, 2) int64 pair array; empty input of any shape gives (0, 2)."""
     p = np.asarray(pairs, dtype=np.int64)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import (ARCCOS_CLAMP, Pose, ray_angles,
+from .geometry import (ARCCOS_CLAMP, Pose, check_angle_threshold, ray_angles,
                        so3_exp_and_derivatives, transform_points,
                        validate_one_to_one)
 
@@ -25,8 +25,7 @@ class LossConfig:
     theta: float = 0.01        # angular inlier threshold, radians
 
     def __post_init__(self):
-        if not (0.0 < self.theta < np.pi):
-            raise ValidationError("theta must lie in (0, pi)")
+        check_angle_threshold(self.theta)
 
 
 def inlier_sign_matrix(bearings, points, gt_pose: Pose, theta: float,
@@ -43,8 +42,7 @@ def inlier_sign_matrix(bearings, points, gt_pose: Pose, theta: float,
         ind = np.zeros((m, n), dtype=bool)
         ind[pairs[:, 0], pairs[:, 1]] = True
     else:
-        if not (0.0 < theta < np.pi):
-            raise ValidationError("theta must lie in (0, pi)")
+        check_angle_threshold(theta)
         angles = ray_angles(bearings, transform_points(gt_pose, points),
                             exact=True, pairwise=True)
         ind = angles <= theta

@@ -17,8 +17,8 @@ gradient is added, and the transport layer's implicit derivative maps
 the sum to the cost matrix.  The robust initializer contributes no
 gradient path; it only chooses the basin of attraction.
 
-Also here: a pose-prior alternation baseline (estimate correspondences
-from the pose, refit the pose, repeat) and the error metrics and
+Also here: a pose-prior alternation baseline (RANSAC's inlier refit
+loop over all pairs from a given pose) and the error metrics and
 summary statistics that the command line reports.
 """
 
@@ -30,18 +30,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assignment import candidate_count, correspondences_from_pose, top_k_select
+from .assignment import candidate_count, top_k_select
 from .errors import StageError, ValidationError
 from .geometry import (Pose, angular_reprojection_error,
                        geodesic_rotation_angle, translation_error)
 from .losses import LossConfig
-from .pose_solvers import CandidateSet, RansacConfig, RobustEstimate, ransac_p3p
+from .pose_solvers import (CandidateSet, RansacConfig, RobustEstimate,
+                           ransac_p3p, refit_to_inliers)
 from .synth import PointSets
 from .transport import TransportPlan, sinkhorn_forward, sinkhorn_vjp
 from .weighted_pnp import (PnPProblem, PnPSolution, PnPSolverConfig,
-                           SparseWeights, pnp_solve, pnp_vjp)
+                           pnp_solve, pnp_vjp)
 
-_ALTERNATION_ROUNDS = 50  # cap on rounds of the alternation baseline
+_ALTERNATION_ROUNDS = 50  # cap on refits of the alternation baseline
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,10 @@ class PipelineConfig:
     ransac: RansacConfig = field(default_factory=RansacConfig)
     solver: PnPSolverConfig = field(default_factory=PnPSolverConfig)
     loss: LossConfig = field(default_factory=LossConfig)
+
+    def __post_init__(self):
+        if not self.mu > 0:  # NaN fails too
+            raise ValidationError(f"mu must be positive, got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -126,10 +131,8 @@ def solve(M, instance: PointSets, config: PipelineConfig | None = None
         estimate = ransac_p3p(candidates, config.ransac)
     stamps.append(time.perf_counter())
     with _stage("refine"):
-        problem = PnPProblem(bearings=instance.bearings,
-                             points=instance.points, weights=plan.P,
-                             init=estimate.pose)
-        refined = pnp_solve(problem, config.solver)
+        refined = pnp_solve(PnPProblem(instance.bearings, instance.points,
+                                       plan.P, estimate.pose), config.solver)
     stamps.append(time.perf_counter())
     seconds = StageSeconds(*(b - a for a, b in zip(stamps, stamps[1:])))
     return PipelineResult(plan=plan, ransac_estimate=estimate, refined=refined,
@@ -149,9 +152,8 @@ def backward(result: PipelineResult, instance: PointSets,
     grad_pose = np.asarray(grad_pose, dtype=np.float64).reshape(6)
     total = grad_P  # sinkhorn_vjp does not write to its upstream gradient
     if np.any(grad_pose != 0.0):
-        problem = PnPProblem(bearings=instance.bearings,
-                             points=instance.points, weights=result.plan.P,
-                             init=result.ransac_estimate.pose)
+        problem = PnPProblem(instance.bearings, instance.points,
+                             result.plan.P, result.ransac_estimate.pose)
         with _stage("refine-backward"):
             total = grad_P + pnp_vjp(problem, result.refined, grad_pose)
     with _stage("transport-backward"):
@@ -161,43 +163,18 @@ def backward(result: PipelineResult, instance: PointSets,
 @dataclass(frozen=True)
 class AlternationResult:
     pose: Pose
-    rounds: int
-    stalled: bool                 # True when no correspondences were found
-    correspondences: np.ndarray   # final pair set
+    correspondences: np.ndarray   # the pair set the pose was fit to
+    rounds: int                   # refits run
 
 
 def alternation_baseline(instance: PointSets, init: Pose, theta: float,
                          solver: PnPSolverConfig | None = None
                          ) -> AlternationResult:
-    """Pose-prior local method: alternate correspondence extraction and
-    pose refitting until the pair set stabilizes, for at most 50 rounds.
-
-    Each round thresholds the angular error at the current pose, makes
-    the pairs one-to-one, then refits the pose to them with uniform
-    weights by `pnp_solve`, starting from the current pose.  No accuracy
-    contract far from the basin of attraction.
-    """
-    solver = solver or PnPSolverConfig()
-    pose = init
-    prev_pairs = None
-    for round_no in range(1, _ALTERNATION_ROUNDS + 1):
-        pairs = correspondences_from_pose(instance.bearings, instance.points,
-                                          pose, theta)
-        if pairs.shape[0] < 4:
-            return AlternationResult(pose=pose, rounds=round_no, stalled=True,
-                                     correspondences=pairs)
-        if prev_pairs is not None and np.array_equal(pairs, prev_pairs):
-            return AlternationResult(pose=pose, rounds=round_no, stalled=False,
-                                     correspondences=pairs)
-        prev_pairs = pairs
-        values = np.full(pairs.shape[0], 1.0 / pairs.shape[0])
-        problem = PnPProblem(bearings=instance.bearings,
-                             points=instance.points,
-                             weights=SparseWeights(pairs=pairs, values=values),
-                             init=pose)
-        pose = pnp_solve(problem, solver).pose
-    return AlternationResult(pose=pose, rounds=_ALTERNATION_ROUNDS,
-                             stalled=False, correspondences=prev_pairs)
+    """Pose-prior local method: `refit_to_inliers` over all pairs from
+    `init`, at most 50 refits.  No accuracy contract outside its basin."""
+    return AlternationResult(*refit_to_inliers(
+        instance.bearings, instance.points, init, theta, _ALTERNATION_ROUNDS,
+        solver=solver))
 
 
 def quartiles(values) -> tuple[float, float, float]:

@@ -1,4 +1,4 @@
-"""The minimal pose solver and the robust initializer.
+"""The minimal pose solver, the robust initializer and the inlier refit.
 
 * `p3p` solves the three-point pose problem: reduce the three
   law-of-cosines equations to a quartic, polish each root with Newton
@@ -8,12 +8,13 @@
   points per sample plus one disambiguating pair).  Samples are drawn
   with probability proportional to the candidate weights, hypotheses
   are scored by angular inlier count, and the search stops at the
-  confidence bound on the best hypothesis's share of the weight.  The
-  best one-to-one inlier set is refit with the uniformly weighted pose
-  layer (`weighted_pnp.pnp_solve`) and scored again at the refit pose
-  until it repeats.  Hypotheses are drawn, solved, probed and scored a
-  batch of samples at a time, in batches that grow while the bound
-  allows; `p3p` is a batch of one through the same solver.
+  confidence bound on the best hypothesis's share of the weight; then
+  `refit_to_inliers` refits its inliers with the uniformly weighted pose
+  layer (`weighted_pnp.pnp_solve`) and takes them again at the refit
+  pose until they repeat, as `pipeline.alternation_baseline` does over
+  all pairs.  Hypotheses are drawn, solved, probed and scored a batch of
+  samples at a time, in batches that grow while the bound allows; `p3p`
+  is a batch of one through the same solver.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import one_to_one
+from .assignment import correspondences_from_pose
 from .errors import DegenerateGeometryError, NumericalError, ValidationError
-from .geometry import (Pose, _pairs_array, check_bearings_and_points,
-                       check_pairs_in_range, log_so3, ray_angles)
-from .weighted_pnp import PnPProblem, SparseWeights, pnp_solve
+from .geometry import (Pose, _pairs_array, check_angle_threshold,
+                       check_bearings_and_points, check_pairs_in_range,
+                       log_so3, ray_angles)
+from .weighted_pnp import PnPProblem, PnPSolverConfig, SparseWeights, pnp_solve
 
 _COLLINEAR_DIST = 1e-9
 _COLLINEAR_AREA = 1e-12
@@ -281,8 +283,7 @@ class RansacConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.inlier_threshold > 0:  # NaN fails too
-            raise ValidationError("inlier threshold must be positive")
+        check_angle_threshold(self.inlier_threshold, "inlier threshold")
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be at least 1")
         if not (0.0 < self.confidence < 1.0):
@@ -302,14 +303,6 @@ class RobustEstimate:
         """No hypothesis scored an inlier, or the one-to-one inliers are
         fewer than the 4 pairs that `ransac_p3p` refits."""
         return self.inliers.shape[0] < 4 or not self.found_pose
-
-
-def _candidate_angles(fc: np.ndarray, pc: np.ndarray, R: np.ndarray,
-                      t: np.ndarray) -> np.ndarray:
-    """Exact angles of the candidate pairs (bearings fc, points pc) under
-    rotations R (..., 3, 3) and translations t (..., 3)."""
-    return ray_angles(fc, pc @ np.swapaxes(R, -1, -2) + t[..., None, :],
-                      exact=True)
 
 
 def _draw_samples(rng: np.random.Generator, log_w: np.ndarray,
@@ -342,19 +335,39 @@ def _score_samples(cand: CandidateSet, fc: np.ndarray, pc: np.ndarray,
     counts, mass = np.full(sel.shape[0], -1), np.zeros(sel.shape[0])
     R_best, t_best = np.zeros((sel.shape[0], 3, 3)), np.zeros((sel.shape[0], 3))
     R_best[rows], t_best[rows] = R[formed, pick], t[formed, pick]
-    inlier = _candidate_angles(fc, pc, R_best[rows], t_best[rows]) <= threshold
+    q = pc @ np.swapaxes(R_best[rows], -1, -2) + t_best[rows, None, :]
+    inlier = ray_angles(fc, q, exact=True) <= threshold
     counts[rows] = np.count_nonzero(inlier, axis=1)
     # a row's own sum, not a matrix product: the same bits in any batch
     mass[rows] = np.where(inlier, w, 0.0).sum(axis=1)
     return counts, mass, R_best, t_best
 
 
-def _inliers_at(cand: CandidateSet, fc: np.ndarray, pc: np.ndarray,
-                pose: Pose, threshold: float) -> np.ndarray:
-    """The one-to-one inlier pairs of the candidates at `pose`."""
-    angles = _candidate_angles(fc, pc, pose.matrix(), pose.t)
-    passing = angles <= threshold
-    return one_to_one(cand.pairs[passing], angles[passing])
+def refit_to_inliers(bearings, points, pose: Pose, theta: float, rounds: int,
+                     pairs=None, solver: PnPSolverConfig | None = None):
+    """Alternate `correspondences_from_pose` (over the pool `pairs`, or
+    all pairs) and, while that set has 4 or more pairs and differs from
+    the set last fit, a `pnp_solve` refit from the current pose under
+    uniform weights over its gathered rows.  A NumericalError keeps the
+    pose.  At most `rounds` refits.  Returns (pose, the set it was fit
+    to, or the first set if no refit ran, the number of refits)."""
+    inliers = correspondences_from_pose(bearings, points, pose, theta, pairs)
+    fit_to, refits = None, 0
+    while (refits < rounds and inliers.shape[0] >= 4
+           and not np.array_equal(inliers, fit_to)):
+        own = np.arange(inliers.shape[0])  # pair i: bearing i, point i
+        weights = SparseWeights(pairs=np.stack([own, own], 1),
+                                values=np.full(own.size, 1.0 / own.size))
+        try:
+            pose = pnp_solve(PnPProblem(bearings[inliers[:, 0]],
+                                        points[inliers[:, 1]], weights, pose),
+                             solver).pose
+        except NumericalError:
+            break
+        refits, fit_to = refits + 1, inliers
+        inliers = correspondences_from_pose(bearings, points, pose, theta,
+                                            pairs)
+    return pose, inliers if fit_to is None else fit_to, refits
 
 
 def ransac_p3p(candidates: CandidateSet, config: RansacConfig) -> RobustEstimate:
@@ -372,14 +385,10 @@ def ransac_p3p(candidates: CandidateSet, config: RansacConfig) -> RobustEstimate
     in sample order; sample r always takes row r of one noise stream, so
     the result is that of one sample at a time.
 
-    The best hypothesis's inliers are made one-to-one on angular cost by
-    `one_to_one`.  While that set has four or more pairs, `pnp_solve`
-    refits the pose to it with uniform weights and the candidates are
-    scored again at the refit pose, until the set repeats or after
-    _REFITS refits; so a hypothesis that admits a few wrong pairs ends
-    at the pose of the right ones.  A NumericalError keeps the pose
-    before that refit.  The inliers returned are those the pose was fit
-    to.  Deterministic for a fixed seed.
+    Then at most _REFITS rounds of `refit_to_inliers` over the candidates
+    take a hypothesis that admits a few wrong pairs to the pose of the
+    right ones; the inliers returned are those the pose was fit to.
+    Deterministic for a fixed seed.
     """
     k = len(candidates)
     if k < 4:
@@ -422,22 +431,9 @@ def ransac_p3p(candidates: CandidateSet, config: RansacConfig) -> RobustEstimate
                               inliers=np.zeros((0, 2), dtype=np.int64),
                               iterations_used=it, found_pose=False)
 
-    pose = Pose(log_so3(best[0]), best[1])
-    inliers, fit_to = _inliers_at(candidates, fc, pc, pose, thr), None
-    for _ in range(_REFITS):
-        if inliers.shape[0] < 4 or np.array_equal(inliers, fit_to):
-            break
-        own = np.arange(inliers.shape[0])  # pair i: bearing i, point i
-        weights = SparseWeights(pairs=np.stack([own, own], 1),
-                                values=np.full(own.size, 1.0 / own.size))
-        try:
-            pose = pnp_solve(PnPProblem(candidates.bearings[inliers[:, 0]],
-                                        candidates.points[inliers[:, 1]],
-                                        weights, pose)).pose
-        except NumericalError:
-            break  # keep the pose before this refit
-        fit_to, inliers = inliers, _inliers_at(candidates, fc, pc, pose, thr)
-    return RobustEstimate(pose=pose,
-                          inliers=inliers if fit_to is None else fit_to,
-                          iterations_used=it, found_pose=best_count > 0,
+    pose, inliers, _ = refit_to_inliers(
+        candidates.bearings, candidates.points,
+        Pose(log_so3(best[0]), best[1]), thr, _REFITS, candidates.pairs)
+    return RobustEstimate(pose=pose, inliers=inliers, iterations_used=it,
+                          found_pose=best_count > 0,
                           hypothesis_count=best_count)

@@ -177,6 +177,13 @@ def generate_instance(config: SynthConfig) -> PointSets:
                      gt_pose=gt_pose, gt_pairs=gt_pairs, metadata=meta)
 
 
+def check_oracle_settings(sharpness: float, noise_sigma: float) -> None:
+    """Reject a non-finite sharpness or a negative or non-finite noise."""
+    if not (np.isfinite(sharpness) and 0.0 <= noise_sigma < np.inf):
+        raise ValidationError(f"oracle cost needs a finite sharpness and noise"
+                              f" sigma >= 0, got {sharpness}, {noise_sigma}")
+
+
 def oracle_cost(instance: PointSets, sharpness: float,
                 noise_sigma: float = 0.0, seed: int = 0) -> np.ndarray:
     """Stand-in feature-distance matrix built from the ground truth.
@@ -184,6 +191,7 @@ def oracle_cost(instance: PointSets, sharpness: float,
     Zero on ground-truth pairs, `sharpness` elsewhere, with optional
     additive Gaussian noise.  Requires ground-truth pairs.
     """
+    check_oracle_settings(sharpness, noise_sigma)
     if instance.gt_pairs is None:
         raise ValidationError("oracle cost requires ground-truth pairs")
     M = np.full((instance.m, instance.n), float(sharpness))

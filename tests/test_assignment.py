@@ -255,6 +255,28 @@ class TestCorrespondencesFromPose:
                             pairwise=True)
         assert np.all(angles[pairs[:, 0], pairs[:, 1]] <= theta)
 
+    def test_pool_keeps_only_listed_pairs(self, rng):
+        pose = random_pose(rng)
+        points = rng.uniform(-0.5, 0.5, (30, 3))
+        bearings = exact_bearings(pose, points)
+        listed = np.stack([np.arange(0, 30, 2), np.arange(0, 30, 2)], axis=1)
+        wrong = np.stack([np.arange(1, 30, 2), np.arange(0, 30, 2)], axis=1)
+        pool = np.concatenate([wrong, listed])
+        pairs = correspondences_from_pose(bearings, points, pose, 1e-3, pool)
+        np.testing.assert_array_equal(pairs, listed)
+
+    def test_pool_of_every_pair_matches_all_pairs(self, rng):
+        # the paired and the pairwise angle forms may round a cosine a few
+        # ulp apart; no angle here lies that close to the threshold
+        pose = random_pose(rng)
+        points = rng.uniform(-0.5, 0.5, (40, 3))
+        noisy = exact_bearings(pose, points) + rng.normal(0, 0.01, (40, 3))
+        noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)
+        every = np.argwhere(np.ones((40, 40), dtype=bool))
+        np.testing.assert_array_equal(
+            correspondences_from_pose(noisy, points, pose, 0.02, every),
+            correspondences_from_pose(noisy, points, pose, 0.02))
+
     def test_theta_validated(self, rng):
         pose = random_pose(rng)
         points = rng.uniform(-0.5, 0.5, (3, 3))

@@ -116,6 +116,34 @@ class TestSolve:
         assert run_cli(["benchmark", "--dataset", str(dataset),
                         "--out", str(tmp_path / "b"), "--theta", "0.5"]) == 0
 
+    def test_cost_file_gives_the_oracle_rows(self, dataset, tmp_path):
+        for path in dataset.glob("instance_*.txt"):
+            inst = load_instance(path)
+            np.savetxt(str(path) + ".cost", oracle_cost(inst, 5.0))
+        tables = {}
+        for cost in ("oracle", "file"):
+            out = tmp_path / cost
+            assert run_cli(["solve", str(dataset), "--out", str(out),
+                            "--cost", cost]) == 0
+            lines = (out / "solve.csv").read_text().splitlines()
+            drop = lines[1].split(",").index("runtime_seconds")
+            tables[cost] = [[v for i, v in enumerate(line.split(","))
+                             if i != drop] for line in lines[1:]]
+        assert len(tables["file"]) == 4
+        assert tables["file"] == tables["oracle"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["solve", "benchmark"])
+    def test_jobs_below_one_is_a_usage_error(self, dataset, tmp_path, capsys,
+                                             command, jobs):
+        out = tmp_path / "o"
+        where = ([str(dataset)] if command == "solve"
+                 else ["--dataset", str(dataset)])
+        assert run_cli([command, *where, "--out", str(out),
+                        "--jobs", jobs]) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any instance was solved
+
     def test_jobs_parallelism_matches_serial(self, dataset, tmp_path):
         # result columns must agree bit-for-bit; the wall-clock column is
         # a measurement and is excluded from the comparison
@@ -157,7 +185,9 @@ class TestPipelineFlags:
 
     @pytest.mark.parametrize("flags", [
         ["--refine-tolerance", "nan"], ["--refine-tolerance", "0"],
-        ["--refine-iterations", "-1"], ["--ransac-iterations", "0"]])
+        ["--refine-iterations", "-1"], ["--ransac-iterations", "0"],
+        ["--mu", "0"], ["--mu", "nan"], ["--sharpness", "nan"],
+        ["--cost-noise", "-1"]])
     @pytest.mark.parametrize("command", ["solve", "benchmark"])
     def test_bad_setting_is_usage_error(self, dataset, tmp_path, capsys,
                                         command, flags):
@@ -237,6 +267,15 @@ class TestBenchmark:
         assert run_cli(["benchmark", "--dataset", str(dataset),
                         "--out", str(out), "--thresholds", thresholds]) == 1
         assert "--thresholds" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any instance was solved
+
+    @pytest.mark.parametrize("theta", ["nan", "-1", "0", "4"])
+    def test_bad_theta_is_a_usage_error(self, dataset, tmp_path, capsys,
+                                        theta):
+        out = tmp_path / "o"
+        assert run_cli(["benchmark", "--dataset", str(dataset),
+                        "--out", str(out), "--theta", theta]) == 1
+        assert "--theta" in capsys.readouterr().err
         assert not out.exists()  # rejected before any instance was solved
 
     def test_failed_instance_fails_benchmark(self, dataset, tmp_path, capsys):

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from blindpnp.assignment import one_to_one
+from blindpnp.assignment import correspondences_from_pose, one_to_one
 from blindpnp.errors import ValidationError
 from blindpnp.geometry import (ARCCOS_CLAMP, Pose, angular_reprojection_error,
                                canonicalize_angle_axis, exp_so3,
@@ -19,7 +19,8 @@ from blindpnp.geometry import (ARCCOS_CLAMP, Pose, angular_reprojection_error,
                                make_intrinsics, pixels_to_bearings, ray_angles,
                                so3_exp_and_derivatives, transform_points,
                                translation_error)
-from blindpnp.pose_solvers import CandidateSet
+from blindpnp.losses import LossConfig, inlier_sign_matrix
+from blindpnp.pose_solvers import CandidateSet, RansacConfig
 from blindpnp.weighted_pnp import SparseWeights
 
 from conftest import exact_bearings, random_pose, rotation_series
@@ -348,3 +349,34 @@ class TestPairArrays:
         assert build(np.zeros(0)).shape == (0, 2)
         np.testing.assert_array_equal(build([[0, 1], [2, 0]]),
                                       [[0, 1], [2, 0]])
+
+
+class TestAngleThreshold:
+    """Every angular inlier threshold follows one rule: it lies in (0, pi)."""
+
+    @staticmethod
+    def users(rng):
+        pose = random_pose(rng)
+        points = rng.uniform(-0.5, 0.5, (6, 3))
+        bearings = exact_bearings(pose, points)
+        return [
+            lambda theta: LossConfig(theta=theta),
+            lambda theta: RansacConfig(inlier_threshold=theta),
+            lambda theta: correspondences_from_pose(bearings, points, pose,
+                                                    theta),
+            lambda theta: correspondences_from_pose(
+                bearings, points, pose, theta, pairs=[[0, 0], [1, 1]]),
+            lambda theta: inlier_sign_matrix(bearings, points, pose, theta),
+        ]
+
+    @pytest.mark.parametrize("theta", [0.0, -0.1, np.pi, 4.0, np.inf,
+                                       np.nan])
+    def test_outside_zero_pi_rejected_everywhere(self, rng, theta):
+        for use in self.users(rng):
+            with pytest.raises(ValidationError, match=r"\(0, pi\)"):
+                use(theta)
+
+    @pytest.mark.parametrize("theta", [1e-9, 0.01, np.pi - 1e-9])
+    def test_inside_zero_pi_accepted_everywhere(self, rng, theta):
+        for use in self.users(rng):
+            use(theta)

@@ -70,6 +70,11 @@ class TestForward:
         with pytest.raises(ValidationError):
             solve(np.ones((9, 10)), inst, SEEDED)
 
+    @pytest.mark.parametrize("mu", [0.0, -0.1, np.nan])
+    def test_mu_must_be_positive(self, mu):
+        with pytest.raises(ValidationError, match="mu"):
+            PipelineConfig(mu=mu)
+
     def test_stage_errors_identify_stage(self):
         inst = noiseless_instance(n=10, seed=5)
         bad = PipelineConfig(mu=0.1, ransac=RansacConfig(seed=0),
@@ -214,7 +219,7 @@ class TestAlternation:
     def test_ground_truth_is_fixed_point(self):
         inst = noiseless_instance(n=100, seed=21)
         result = alternation_baseline(inst, inst.gt_pose, theta=0.05)
-        assert not result.stalled
+        assert result.correspondences.shape[0] >= 4
         assert geodesic_rotation_angle(result.pose.matrix(),
                                        inst.gt_pose.matrix()) <= 1e-9
         assert translation_error(result.pose.t, inst.gt_pose.t) <= 1e-9
@@ -241,9 +246,24 @@ class TestAlternation:
         inst = noiseless_instance(n=20, seed=23)
         away = Pose(np.array([np.pi, 0.0, 0.0]), np.zeros(3))
         result = alternation_baseline(inst, away, theta=0.001)
-        assert result.stalled
+        assert result.rounds == 0 and result.correspondences.shape[0] < 4
         np.testing.assert_array_equal(result.pose.as_vector(),
                                       away.as_vector())
+
+    def test_numerical_error_keeps_the_pose(self, monkeypatch):
+        # the refit loop that RANSAC shares keeps the pose before a failed
+        # refit, so the baseline reports that pose instead of raising
+        def failing_pnp_solve(problem, config):
+            raise NumericalError("injected")
+
+        monkeypatch.setattr("blindpnp.pose_solvers.pnp_solve",
+                            failing_pnp_solve)
+        inst = noiseless_instance(n=100, seed=21)
+        init = Pose(inst.gt_pose.r + 0.01, inst.gt_pose.t)
+        result = alternation_baseline(inst, init, theta=0.05)
+        assert result.rounds == 0 and result.correspondences.shape[0] >= 4
+        np.testing.assert_array_equal(result.pose.as_vector(),
+                                      init.as_vector())
 
 
 class TestEvaluate:

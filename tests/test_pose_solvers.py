@@ -11,12 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blindpnp.errors import DegenerateGeometryError, ValidationError
+from blindpnp.assignment import correspondences_from_pose
+from blindpnp.errors import (DegenerateGeometryError, NumericalError,
+                             ValidationError)
 from blindpnp.geometry import (Pose, geodesic_rotation_angle, log_so3,
                                translation_error)
 import blindpnp.pose_solvers as pose_solvers
 from blindpnp.pose_solvers import (CandidateSet, RansacConfig, ransac_p3p,
-                                   p3p, _p3p_batch, _polish_depths)
+                                   p3p, refit_to_inliers, _p3p_batch,
+                                   _polish_depths)
 from blindpnp.weighted_pnp import PnPProblem, SparseWeights, pnp_objective
 
 from conftest import exact_bearings, random_pose, tiny_angle
@@ -458,3 +461,71 @@ class TestRansac:
             RansacConfig(max_iterations=0)
         with pytest.raises(ValidationError):
             RansacConfig(confidence=1.0)
+
+    @pytest.mark.parametrize("threshold", [np.pi, 4.0, np.inf])
+    def test_threshold_of_pi_or_more_rejected(self, threshold):
+        # the inlier extraction takes only angles in (0, pi)
+        with pytest.raises(ValidationError, match="inlier threshold"):
+            RansacConfig(inlier_threshold=threshold)
+
+
+def noisy_candidates(rng, sigma=5e-3):
+    # bearing noise of half the threshold moves pairs across it, so the
+    # set changes over two or more refits before it repeats
+    pose = random_pose(rng)
+    cand = make_candidates(rng, pose)
+    bearings = cand.bearings + rng.standard_normal(cand.bearings.shape) * sigma
+    bearings /= np.linalg.norm(bearings, axis=1, keepdims=True)
+    start = Pose(pose.r + 0.002, pose.t + 0.01)
+    return cand.pairs, bearings, cand.points, start
+
+
+class TestRefitToInliers:
+    def test_ends_stationary_over_the_set_it_was_fit_to(self, rng):
+        for _ in range(5):
+            pairs, bearings, points, start = noisy_candidates(rng)
+            pose, inliers, refits = refit_to_inliers(
+                bearings, points, start, 0.01, 10, pairs)
+            assert 1 <= refits < 10  # stopped because the set repeated
+            np.testing.assert_array_equal(
+                inliers, correspondences_from_pose(bearings, points, pose,
+                                                   0.01, pairs))
+            weights = SparseWeights(pairs=inliers, values=np.full(
+                inliers.shape[0], 1.0 / inliers.shape[0]))
+            _, grad = pnp_objective(PnPProblem(bearings, points, weights,
+                                               pose), pose)
+            assert np.linalg.norm(grad) <= 1e-9
+
+    def test_no_rounds_returns_the_first_set(self, rng):
+        pairs, bearings, points, start = noisy_candidates(rng)
+        pose, inliers, refits = refit_to_inliers(bearings, points, start,
+                                                 0.01, 0, pairs)
+        assert refits == 0 and pose is start
+        np.testing.assert_array_equal(
+            inliers, correspondences_from_pose(bearings, points, start, 0.01,
+                                               pairs))
+
+    def test_numerical_error_keeps_the_previous_pose(self, monkeypatch, rng):
+        pairs, bearings, points, start = noisy_candidates(rng)
+        want = refit_to_inliers(bearings, points, start, 0.01, 1, pairs)
+        solve = pose_solvers.pnp_solve
+        calls = []
+
+        def second_call_fails(problem, config=None):
+            calls.append(problem)
+            if len(calls) == 2:
+                raise NumericalError("injected")
+            return solve(problem, config)
+
+        monkeypatch.setattr(pose_solvers, "pnp_solve", second_call_fails)
+        pose, inliers, refits = refit_to_inliers(bearings, points, start,
+                                                 0.01, 10, pairs)
+        assert len(calls) == 2 and refits == 1
+        assert pose.as_vector().tobytes() == want[0].as_vector().tobytes()
+        np.testing.assert_array_equal(inliers, want[1])
+
+    def test_fewer_than_four_inliers_are_not_refit(self, rng):
+        pairs, bearings, points, start = noisy_candidates(rng)
+        pose, inliers, refits = refit_to_inliers(bearings, points, start,
+                                                 0.01, 10, pairs[:3])
+        assert refits == 0 and pose is start and inliers.shape[0] <= 3

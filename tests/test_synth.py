@@ -139,6 +139,15 @@ class TestOracleProbability:
         plan = sinkhorn_forward(oracle_cost(inst, sharpness=3.0), mu=0.1)
         np.testing.assert_allclose(plan.P, [[1.0]], atol=1e-12)
 
+    @pytest.mark.parametrize("sharpness, noise", [
+        (np.nan, 0.0), (np.inf, 0.0), (5.0, -1.0), (5.0, np.nan),
+        (5.0, np.inf)])
+    def test_bad_settings_rejected(self, sharpness, noise):
+        # a negative noise used to add no noise; NaN costs failed in transport
+        inst = generate_instance(SynthConfig(n_points=5, seed=7))
+        with pytest.raises(ValidationError, match="oracle cost"):
+            oracle_cost(inst, sharpness, noise_sigma=noise)
+
     def test_requires_ground_truth(self):
         inst = generate_instance(SynthConfig(n_points=5, seed=7))
         stripped = PointSets(bearings=inst.bearings, points=inst.points,

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from blindpnp import transport
 from blindpnp.assignment import hungarian
 from blindpnp.errors import ValidationError
 from blindpnp.losses import correspondence_loss, pose_loss
@@ -330,6 +331,27 @@ class TestOverRelaxation:
         dM = backward(result, inst, config, dlc,
                       pose_loss(result.refined_pose, inst.gt_pose).grad)
         assert dM.shape == M.shape and np.all(np.isfinite(dM))
+
+    def test_log_sum_exp_fallback_when_every_row_underflows(self,
+                                                            monkeypatch):
+        # exp(-M / mu) is 0 in every entry, so the first scaling step
+        # cannot form K v and the exact log-domain update takes over
+        M = np.random.default_rng(3).uniform(0.8, 1.2, (30, 20))
+        assert not np.exp(-M / 0.001).any()
+        calls = []
+
+        def spy(A):
+            calls.append(A.shape)
+            return _logsumexp_rows(A)
+
+        monkeypatch.setattr(transport, "_logsumexp_rows", spy)
+        tol = 1e-9
+        plan = sinkhorn_forward(M, mu=0.001, tol=tol)
+        assert calls  # the fallback ran
+        assert plan.converged and marginal_residual(plan.P) <= tol
+        want = reference_sinkhorn(M, 0.001, tol=tol)
+        assert want.converged
+        assert np.max(np.abs(plan.P - want.P)) <= 2.0 * tol
 
     @settings(deadline=None, derandomize=True, database=None, max_examples=60)
     @given(n=st.integers(2, 60), sharpness=st.floats(0.5, 8.0),
