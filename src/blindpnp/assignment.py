@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import (Pose, _pairs_array, check_angle_threshold, ray_angles,
-                       transform_points)
+from .geometry import (Pose, _pairs_array, check_angle_threshold,
+                       check_pairs_in_range, ray_angles, transform_points)
 
 # Stand-in cost for the pairs absent from a conflict sub-matrix; far above
 # any angle (at most pi), so a matching that can avoid a sentinel will.
@@ -142,23 +142,25 @@ def one_to_one(pairs, costs) -> np.ndarray:
 
 def correspondences_from_pose(bearings, points, pose: Pose, theta: float,
                               pairs=None) -> np.ndarray:
-    """One-to-one pairs whose exact angular error at `pose` is at most
-    theta, from the (k, 2) (bearing, point) pool `pairs`, else all pairs.
+    """One-to-one pairs whose angular error at `pose` is at most theta,
+    from the (k, 2) (bearing, point) pool `pairs`, else all pairs.
 
     Pairs above the threshold are excluded up front; among the admissible
     ones `one_to_one` picks the largest set with the smallest total
-    angular error.  Sorted by bearing; may be empty.
+    angular error.  A pair is admitted or not whether it is listed in a
+    pool or met among all pairs.  Sorted by bearing; may be empty.  Pool
+    indices outside the bearings or points raise ValidationError.
     """
     check_angle_threshold(theta)
+    f = np.asarray(bearings, dtype=np.float64)
+    p = np.asarray(points, dtype=np.float64)
     if pairs is None:
-        angles = ray_angles(bearings, transform_points(pose, points),
-                            exact=True, pairwise=True)
+        angles = ray_angles(f[:, None], transform_points(pose, p)[None])
         admissible = angles <= theta
         return one_to_one(np.argwhere(admissible), angles[admissible])
     pairs = _pairs_array(pairs)
-    f = np.asarray(bearings, dtype=np.float64)[pairs[:, 0]]
-    p = np.asarray(points, dtype=np.float64)[pairs[:, 1]]
-    angles = ray_angles(f, transform_points(pose, p), exact=True)
+    check_pairs_in_range(pairs, f.shape[0], p.shape[0], "pool")
+    angles = ray_angles(f[pairs[:, 0]], transform_points(pose, p[pairs[:, 1]]))
     admissible = angles <= theta
     return one_to_one(pairs[admissible], angles[admissible])
 

@@ -8,11 +8,9 @@ Conventions used throughout the library:
   ``R(r) @ p + t``,
 * a bearing vector is the unit ray through an image point,
   proportional to ``inv(K) @ [u, v, 1]``,
-* every arccos in the library clamps its argument to ``+-(1 - 1e-7)``
-  so that angle gradients stay finite at 0 and 180 degrees,
 * every angle between a bearing and a transformed scene point comes
-  from `ray_angles`: the exact arctan2 measure for inlier tests, the
-  clamped arccos everywhere else.
+  from `ray_angles`, one exact arctan2 measure, so inlier tests and
+  reported errors agree bit for bit.
 """
 
 from __future__ import annotations
@@ -24,16 +22,8 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Clamp bound for arccos arguments; keeps d(arccos)/dx finite.
-ARCCOS_CLAMP = 1.0 - 1e-7
-
 # ||r||^2 below this uses the Taylor branch of the exponential map.
 _SMALL_ANGLE_SQ = 1e-4
-
-
-def clamped_arccos(x):
-    """arccos with the argument clamped to the open interval (-1, 1)."""
-    return np.arccos(np.clip(x, -ARCCOS_CLAMP, ARCCOS_CLAMP))
 
 
 def _as_vec3(x, name: str) -> np.ndarray:
@@ -257,22 +247,20 @@ def _dot3(a, b):
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
-def ray_angles(bearings, directions, exact: bool = False,
-               pairwise: bool = False) -> np.ndarray:
+def ray_angles(bearings, directions) -> np.ndarray:
     """Angles in [0, pi] between unit bearings and unnormalized directions.
 
-    Rows are paired, ``bearings[i]`` with ``directions[i]``, giving a (k,)
-    array, or (..., k) over broadcast leading dimensions; with
-    ``pairwise=True`` every bearing meets every direction, giving the
-    (m, n) matrix.  A zero direction (a point at the camera center) has
-    no defined angle: it counts as pi, with a RuntimeWarning.
+    Rows are paired, ``bearings[..., i, :]`` with ``directions[..., i, :]``,
+    under numpy broadcasting: ``ray_angles(f[:, None], q[None])`` is the
+    (m, n) matrix of every bearing against every direction, bit for bit
+    the angles of the same pairs taken row by row.  A zero direction (a
+    point at the camera center) has no defined angle: it counts as pi,
+    with a RuntimeWarning.
 
-    The default measure is the clamped arccos, whose gradient stays
-    finite but whose value floors near 4.5e-4 rad.  ``exact=True`` uses
-    arctan2 instead, which inlier tests with thresholds as small as 1e-6
-    require: it resolves angles down to ~1e-7 rad, where the rounding of
-    the cosine itself sets the limit.  No gradient flows through
-    classification, so it needs no clamp.
+    The measure is the arctan2 of the row cosine, which resolves angles
+    down to ~1e-7 rad, where the rounding of the cosine itself sets the
+    limit, so inlier thresholds as small as 1e-6 hold.  No gradient flows
+    through it, so it needs no clamp.
     """
     f = np.asarray(bearings, dtype=np.float64)
     q = np.asarray(directions, dtype=np.float64)
@@ -284,19 +272,12 @@ def ray_angles(bearings, directions, exact: bool = False,
             f"{int(degenerate.sum())} transformed point(s) at the camera "
             "center; treating their angles as pi", RuntimeWarning)
         norms = np.where(degenerate, 1.0, norms)
-    if pairwise:
-        c = (f @ q.T) / norms[None, :]
-    else:
-        c = _dot3(f, q) / norms
-    # Rounding can push c just outside [-1, 1]; neither measure needs a
-    # clip for that: the arccos clamp lies inside the interval, and the
-    # arctan2 form gives exactly 0 or pi there (its sine term is 0).
-    if exact:
-        ang = np.arctan2(np.sqrt(np.maximum((1.0 - c) * (1.0 + c), 0.0)), c)
-    else:
-        ang = clamped_arccos(c)
+    c = _dot3(f, q) / norms
+    # Rounding can push c just outside [-1, 1]; the arctan2 form needs no
+    # clip for that: it gives exactly 0 or pi there (its sine term is 0).
+    ang = np.arctan2(np.sqrt(np.maximum((1.0 - c) * (1.0 + c), 0.0)), c)
     if any_degenerate:
-        ang[..., degenerate] = np.pi
+        ang = np.where(degenerate, np.pi, ang)
     return ang
 
 
@@ -346,13 +327,16 @@ def validate_one_to_one(pairs) -> np.ndarray:
 def angular_reprojection_error(bearings, points, pairs, pose: Pose) -> float:
     """Mean angular error (radians) over a (k, 2) list of (bearing, point)
     pairs at `pose`: the per-match average used for evaluation reports.
-    The angle is the clamped arccos of `ray_angles`; an empty list gives 0.
+    The angle is that of `ray_angles`, the one the inlier tests use; an
+    empty list gives 0.  Indices outside the bearings or points raise
+    ValidationError.
     """
     p = _pairs_array(pairs)
-    if p.shape[0] == 0:
-        return 0.0
     f = np.asarray(bearings, dtype=np.float64)
     q = transform_points(pose, np.asarray(points, dtype=np.float64))
+    check_pairs_in_range(p, f.shape[0], q.shape[0], "pair")
+    if p.shape[0] == 0:
+        return 0.0
     angles = ray_angles(f[p[:, 0]], q[p[:, 1]])
     return float(angles.sum()) / float(p.shape[0])
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import (ARCCOS_CLAMP, Pose, check_angle_threshold, ray_angles,
+from .geometry import (Pose, check_angle_threshold, ray_angles,
                        so3_exp_and_derivatives, transform_points,
                        validate_one_to_one)
 
@@ -43,8 +43,8 @@ def inlier_sign_matrix(bearings, points, gt_pose: Pose, theta: float,
         ind[pairs[:, 0], pairs[:, 1]] = True
     else:
         check_angle_threshold(theta)
-        angles = ray_angles(bearings, transform_points(gt_pose, points),
-                            exact=True, pairwise=True)
+        angles = ray_angles(np.asarray(bearings, dtype=np.float64)[:, None],
+                            transform_points(gt_pose, points)[None])
         ind = angles <= theta
     return np.where(ind, -1.0, 1.0)
 
@@ -75,6 +75,10 @@ class PoseLoss:
     rotation: float            # radians, in [0, pi]
     translation: float
     grad: np.ndarray           # d(total)/d(r, t) of the estimate, shape (6,)
+
+
+# Clamp bound for the arccos of `pose_loss`; keeps d(arccos)/dx finite.
+ARCCOS_CLAMP = 1.0 - 1e-7
 
 
 def pose_loss(pose: Pose, gt_pose: Pose) -> PoseLoss:

@@ -25,9 +25,8 @@ import numpy as np
 
 from .assignment import correspondences_from_pose
 from .errors import DegenerateGeometryError, NumericalError, ValidationError
-from .geometry import (Pose, _pairs_array, check_angle_threshold,
-                       check_bearings_and_points, check_pairs_in_range,
-                       log_so3, ray_angles)
+from .geometry import (Pose, _pairs_array, check_bearings_and_points,
+                       check_pairs_in_range, log_so3, ray_angles)
 from .weighted_pnp import PnPProblem, PnPSolverConfig, SparseWeights, pnp_solve
 
 _COLLINEAR_DIST = 1e-9
@@ -42,6 +41,8 @@ _FIRST_BATCH = 32
 _BATCH = 64
 _ZERO_WEIGHT_GAP = 1e3  # log-weight gap below the lightest positive weight
 _REFITS = 4  # at most this many re-scored refits of the inlier set
+_INLIER_THRESHOLD = 0.01  # angular reprojection error of an inlier, radians
+_CONFIDENCE = 0.99  # of the stopping bound on the sample count
 
 
 def _rigid_align(world: np.ndarray, camera: np.ndarray):
@@ -277,17 +278,12 @@ class CandidateSet:
 
 @dataclass(frozen=True)
 class RansacConfig:
-    inlier_threshold: float = 0.01   # angular reprojection error, radians
     max_iterations: int = 1000
-    confidence: float = 0.99
     seed: int = 0
 
     def __post_init__(self):
-        check_angle_threshold(self.inlier_threshold, "inlier threshold")
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be at least 1")
-        if not (0.0 < self.confidence < 1.0):
-            raise ValidationError("confidence must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -336,7 +332,7 @@ def _score_samples(cand: CandidateSet, fc: np.ndarray, pc: np.ndarray,
     R_best, t_best = np.zeros((sel.shape[0], 3, 3)), np.zeros((sel.shape[0], 3))
     R_best[rows], t_best[rows] = R[formed, pick], t[formed, pick]
     q = pc @ np.swapaxes(R_best[rows], -1, -2) + t_best[rows, None, :]
-    inlier = ray_angles(fc, q, exact=True) <= threshold
+    inlier = ray_angles(fc, q) <= threshold
     counts[rows] = np.count_nonzero(inlier, axis=1)
     # a row's own sum, not a matrix product: the same bits in any batch
     mass[rows] = np.where(inlier, w, 0.0).sum(axis=1)
@@ -350,7 +346,8 @@ def refit_to_inliers(bearings, points, pose: Pose, theta: float, rounds: int,
     the set last fit, a `pnp_solve` refit from the current pose under
     uniform weights over its gathered rows.  A NumericalError keeps the
     pose.  At most `rounds` refits.  Returns (pose, the set it was fit
-    to, or the first set if no refit ran, the number of refits)."""
+    to, or the first set if no refit ran, the number of refits).  Pool
+    indices outside the bearings or points raise ValidationError."""
     inliers = correspondences_from_pose(bearings, points, pose, theta, pairs)
     fit_to, refits = None, 0
     while (refits < rounds and inliers.shape[0] >= 4
@@ -378,7 +375,7 @@ def ransac_p3p(candidates: CandidateSet, config: RansacConfig) -> RobustEstimate
     the others cannot fill): three feed P3P and the fourth selects among
     its solutions by angular residual.  Scoring counts candidates within
     the angular threshold (many-to-one allowed).  The search stops after
-    `ceil(log(1 - confidence) / log(1 - W^4))` samples, W being the best
+    `ceil(log(1 - _CONFIDENCE) / log(1 - W^4))` samples, W being the best
     hypothesis's inlier weight over the total weight: the usual bound
     on the inlier ratio when the weights are uniform.  Batches of samples
     grow from _FIRST_BATCH to _BATCH, capped by the bound, and are taken
@@ -397,7 +394,6 @@ def ransac_p3p(candidates: CandidateSet, config: RansacConfig) -> RobustEstimate
     pc = candidates.points[candidates.pairs[:, 1]]
     check_bearings_and_points(fc, pc)
     rng = np.random.default_rng(config.seed)
-    thr = config.inlier_threshold
     w = candidates.weights / candidates.weights.max()  # sums without overflow
     total = w.sum()
     positive = w > 0
@@ -410,7 +406,8 @@ def ransac_p3p(candidates: CandidateSet, config: RansacConfig) -> RobustEstimate
         size = min(batch, _BATCH, limit - it)
         batch *= 2
         sel = _draw_samples(rng, log_w, size)
-        counts, mass, R, t = _score_samples(candidates, fc, pc, w, sel, thr)
+        counts, mass, R, t = _score_samples(candidates, fc, pc, w, sel,
+                                            _INLIER_THRESHOLD)
         for b in range(size):
             it += 1
             if counts[b] >= 0 and (counts[b] > best_count or best is None):
@@ -420,7 +417,7 @@ def ransac_p3p(candidates: CandidateSet, config: RansacConfig) -> RobustEstimate
                 if w4 >= 1.0:
                     limit = it
                 elif w4 > 0:
-                    needed = np.ceil(np.log(1.0 - config.confidence)
+                    needed = np.ceil(np.log(1.0 - _CONFIDENCE)
                                      / np.log1p(-w4))
                     limit = int(min(limit, needed))
             if it >= limit:
@@ -433,7 +430,8 @@ def ransac_p3p(candidates: CandidateSet, config: RansacConfig) -> RobustEstimate
 
     pose, inliers, _ = refit_to_inliers(
         candidates.bearings, candidates.points,
-        Pose(log_so3(best[0]), best[1]), thr, _REFITS, candidates.pairs)
+        Pose(log_so3(best[0]), best[1]), _INLIER_THRESHOLD, _REFITS,
+        candidates.pairs)
     return RobustEstimate(pose=pose, inliers=inliers, iterations_used=it,
                           found_pose=best_count > 0,
                           hypothesis_count=best_count)

@@ -251,8 +251,8 @@ class TestCorrespondencesFromPose:
         noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)
         theta = 0.02
         pairs = correspondences_from_pose(noisy, points, pose, theta)
-        angles = ray_angles(noisy, transform_points(pose, points),
-                            pairwise=True)
+        q = transform_points(pose, points)
+        angles = ray_angles(noisy[:, None], q[None])
         assert np.all(angles[pairs[:, 0], pairs[:, 1]] <= theta)
 
     def test_pool_keeps_only_listed_pairs(self, rng):
@@ -266,16 +266,32 @@ class TestCorrespondencesFromPose:
         np.testing.assert_array_equal(pairs, listed)
 
     def test_pool_of_every_pair_matches_all_pairs(self, rng):
-        # the paired and the pairwise angle forms may round a cosine a few
-        # ulp apart; no angle here lies that close to the threshold
-        pose = random_pose(rng)
-        points = rng.uniform(-0.5, 0.5, (40, 3))
-        noisy = exact_bearings(pose, points) + rng.normal(0, 0.01, (40, 3))
-        noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)
+        # theta also at a true pair's own angle: that pair lies on the
+        # boundary, so both paths must compute its angle bit for bit
         every = np.argwhere(np.ones((40, 40), dtype=bool))
-        np.testing.assert_array_equal(
-            correspondences_from_pose(noisy, points, pose, 0.02, every),
-            correspondences_from_pose(noisy, points, pose, 0.02))
+        for _ in range(50):
+            pose = random_pose(rng)
+            points = rng.uniform(-0.5, 0.5, (40, 3))
+            noisy = exact_bearings(pose, points) + rng.normal(0, 0.01, (40, 3))
+            noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)
+            i = rng.integers(40)
+            own = float(ray_angles(
+                noisy[i], transform_points(pose, points)[i]))
+            for theta in (0.02, own):
+                np.testing.assert_array_equal(
+                    correspondences_from_pose(noisy, points, pose, theta,
+                                              every),
+                    correspondences_from_pose(noisy, points, pose, theta))
+
+    @pytest.mark.parametrize("bad", [[-1, 0], [10, 0], [0, 10]])
+    def test_pool_index_out_of_range_rejected(self, rng, bad):
+        # -1 would silently take the last bearing and come back as a pair
+        pose = random_pose(rng)
+        points = rng.uniform(-0.5, 0.5, (10, 3))
+        bearings = exact_bearings(pose, points)
+        pool = [[0, 0], [1, 1], bad]
+        with pytest.raises(ValidationError, match="out of range"):
+            correspondences_from_pose(bearings, points, pose, 0.01, pool)
 
     def test_theta_validated(self, rng):
         pose = random_pose(rng)

@@ -13,19 +13,17 @@ from hypothesis.extra.numpy import arrays
 
 from blindpnp.assignment import correspondences_from_pose, one_to_one
 from blindpnp.errors import ValidationError
-from blindpnp.geometry import (ARCCOS_CLAMP, Pose, angular_reprojection_error,
+from blindpnp.geometry import (Pose, angular_reprojection_error,
                                canonicalize_angle_axis, exp_so3,
                                geodesic_rotation_angle, log_so3,
                                make_intrinsics, pixels_to_bearings, ray_angles,
                                so3_exp_and_derivatives, transform_points,
                                translation_error)
 from blindpnp.losses import LossConfig, inlier_sign_matrix
-from blindpnp.pose_solvers import CandidateSet, RansacConfig
+from blindpnp.pose_solvers import CandidateSet
 from blindpnp.weighted_pnp import SparseWeights
 
 from conftest import exact_bearings, random_pose, rotation_series
-
-CLAMP_FLOOR = np.arccos(ARCCOS_CLAMP)  # ~4.47e-4 rad
 
 
 class TestExpSo3:
@@ -169,7 +167,8 @@ class TestAngularReprojectionError:
         pose, points, bearings = self._instance(rng)
         pairs = np.stack([np.arange(20), np.arange(20)], axis=1)
         err = angular_reprojection_error(bearings, points, pairs, pose)
-        assert err <= CLAMP_FLOOR + 1e-12
+        # the rounding of the bearings and of the transform, not a clamp
+        assert err <= 1e-7
 
     def test_empty_pairs_vacuous(self, rng):
         pose, points, bearings = self._instance(rng)
@@ -188,8 +187,7 @@ class TestAngularReprojectionError:
         for i, j in pairs:
             q = R @ points[j] + perturbed.t
             cosv = float(bearings[i] @ q / np.linalg.norm(q))
-            cosv = max(-ARCCOS_CLAMP, min(ARCCOS_CLAMP, cosv))
-            total += math.acos(cosv)
+            total += math.acos(max(-1.0, min(1.0, cosv)))
         expected = total / 6.0
         got = angular_reprojection_error(bearings, points, pairs, perturbed)
         assert abs(got - expected) <= 1e-12
@@ -203,9 +201,12 @@ class TestAngularReprojectionError:
             err = angular_reprojection_error(bearings, points, pairs, pose)
         assert err == np.pi
 
-
-MEASURES = [(exact, pairwise) for exact in (False, True)
-            for pairwise in (False, True)]
+    @pytest.mark.parametrize("bad", [[[-1, 0]], [[10, 0]], [[0, 20]]])
+    def test_pair_index_out_of_range_rejected(self, rng, bad):
+        # -1 would silently take the last bearing, 10 a bare IndexError
+        pose, points, bearings = self._instance(rng)
+        with pytest.raises(ValidationError, match="out of range"):
+            angular_reprojection_error(bearings[:10], points, bad, pose)
 
 
 @st.composite
@@ -229,11 +230,11 @@ def rays(draw):
     return f, q
 
 
-def paired_grid(f, q, exact):
-    """The pairwise matrix rebuilt from paired rows (i, j)."""
+def paired_grid(f, q):
+    """The (m, n) matrix rebuilt from paired rows (i, j)."""
     m, n = f.shape[0], q.shape[0]
     ii, jj = np.divmod(np.arange(m * n), n)
-    return ray_angles(f[ii], q[jj], exact=exact).reshape(m, n)
+    return ray_angles(f[ii], q[jj]).reshape(m, n)
 
 
 class TestRayAngles:
@@ -241,32 +242,11 @@ class TestRayAngles:
     @given(rays())
     def test_range_and_pairing(self, data):
         f, q = data
-        for exact in (False, True):
-            grid = ray_angles(f, q, exact=exact, pairwise=True)
-            paired = paired_grid(f, q, exact)
-            for ang in (grid, paired):
-                assert np.all((ang >= 0.0) & (ang <= np.pi))
-            # the matrix product and the row sums round the cosine
-            # differently by a few ulp, which the angle amplifies by
-            # 1/sin(angle): 1e-12 holds wherever sin(angle) >= 1e-3
-            well_conditioned = np.sin(grid) >= 1e-3
-            diff = np.abs(grid - paired)
-            assert np.all(diff[well_conditioned] <= 1e-12)
-            assert np.all(diff <= 1e-7)
-
-    @settings(deadline=None, derandomize=True, database=None)
-    @given(rays())
-    def test_exact_matches_clamped_above_clamp_floor(self, data):
-        f, q = data
-        for pairwise in (False, True):
-            g = f if pairwise else np.resize(f, q.shape)
-            clamped = ray_angles(g, q, pairwise=pairwise)
-            exact = ray_angles(g, q, exact=True, pairwise=pairwise)
-            assert np.all(clamped >= CLAMP_FLOOR)
-            assert np.all(clamped <= np.pi - CLAMP_FLOOR)
-            free = ((clamped > CLAMP_FLOOR + 1e-9)
-                    & (clamped < np.pi - CLAMP_FLOOR - 1e-9))
-            assert np.all(np.abs(exact - clamped)[free] <= 1e-12)
+        grid = ray_angles(f[:, None], q[None])
+        assert np.all((grid >= 0.0) & (grid <= np.pi))
+        # one formula over broadcast rows: a pair's angle does not depend
+        # on the shape it is computed in
+        np.testing.assert_array_equal(grid, paired_grid(f, q))
 
     @settings(deadline=None, derandomize=True, database=None)
     @given(rays(), st.data())
@@ -275,10 +255,10 @@ class TestRayAngles:
         j = draw.draw(st.integers(0, q.shape[0] - 1))
         q = q.copy()
         q[j] = 0.0
-        for exact, pairwise in MEASURES:
-            g = f if pairwise else np.resize(f, q.shape)
+        # paired rows, and the broadcast grid, whose zero mask is (1, n)
+        for g, d in ((np.resize(f, q.shape), q), (f[:, None], q[None])):
             with pytest.warns(RuntimeWarning, match="camera center"):
-                ang = ray_angles(g, q, exact=exact, pairwise=pairwise)
+                ang = ray_angles(g, d)
             assert np.all(ang[..., j] == np.pi)
             others = np.delete(ang, j, axis=-1)
             assert np.all((others >= 0.0) & (others <= np.pi))
@@ -293,7 +273,7 @@ class TestRayAngles:
         expected = [math.acos(max(-1.0, min(1.0, float(fi @ qi)
                                             / math.sqrt(float(qi @ qi)))))
                     for fi, qi in zip(f, q)]
-        got = ray_angles(f, q, exact=True)
+        got = ray_angles(f, q)
         # the arccos loses precision near 0 and pi; none are near here
         assert all(1e-3 < e < np.pi - 1e-3 for e in expected)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
@@ -361,7 +341,6 @@ class TestAngleThreshold:
         bearings = exact_bearings(pose, points)
         return [
             lambda theta: LossConfig(theta=theta),
-            lambda theta: RansacConfig(inlier_threshold=theta),
             lambda theta: correspondences_from_pose(bearings, points, pose,
                                                     theta),
             lambda theta: correspondences_from_pose(

@@ -454,19 +454,7 @@ class TestRansac:
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
-            RansacConfig(inlier_threshold=0.0)
-        with pytest.raises(ValidationError):
-            RansacConfig(inlier_threshold=np.nan)
-        with pytest.raises(ValidationError):
             RansacConfig(max_iterations=0)
-        with pytest.raises(ValidationError):
-            RansacConfig(confidence=1.0)
-
-    @pytest.mark.parametrize("threshold", [np.pi, 4.0, np.inf])
-    def test_threshold_of_pi_or_more_rejected(self, threshold):
-        # the inlier extraction takes only angles in (0, pi)
-        with pytest.raises(ValidationError, match="inlier threshold"):
-            RansacConfig(inlier_threshold=threshold)
 
 
 def noisy_candidates(rng, sigma=5e-3):
@@ -529,3 +517,12 @@ class TestRefitToInliers:
         pose, inliers, refits = refit_to_inliers(bearings, points, start,
                                                  0.01, 10, pairs[:3])
         assert refits == 0 and pose is start and inliers.shape[0] <= 3
+
+    @pytest.mark.parametrize("bad", [[-1, 0], [100, 0], [0, 100]])
+    def test_pool_index_out_of_range_rejected(self, rng, bad):
+        # -1 would silently take the last bearing and come back as a pair
+        pairs, bearings, points, start = noisy_candidates(rng)
+        assert bearings.shape[0] == points.shape[0] == 100
+        with pytest.raises(ValidationError, match="out of range"):
+            refit_to_inliers(bearings, points, start, 0.01, 10,
+                             np.concatenate([pairs, [bad]]))
