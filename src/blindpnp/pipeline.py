@@ -150,14 +150,15 @@ def backward(result: PipelineResult, instance: PointSets,
     """
     grad_P = np.asarray(grad_P, dtype=np.float64)
     grad_pose = np.asarray(grad_pose, dtype=np.float64).reshape(6)
-    total = grad_P  # sinkhorn_vjp does not write to its upstream gradient
+    total, out = grad_P, None  # never write into the caller's grad_P
     if np.any(grad_pose != 0.0):
         problem = PnPProblem(instance.bearings, instance.points,
                              result.plan.P, result.ransac_estimate.pose)
         with _stage("refine-backward"):
-            total = grad_P + pnp_vjp(problem, result.refined, grad_pose)
+            total = out = pnp_vjp(problem, result.refined, grad_pose)
+            total += grad_P  # fresh; the bits of grad_P + pnp_vjp(...)
     with _stage("transport-backward"):
-        return sinkhorn_vjp(None, result.plan, config.mu, total)
+        return sinkhorn_vjp(None, result.plan, config.mu, total, out=out)
 
 
 @dataclass(frozen=True)

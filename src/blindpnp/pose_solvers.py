@@ -313,7 +313,7 @@ def _draw_samples(rng: np.random.Generator, log_w: np.ndarray,
 
 
 def _score_samples(cand: CandidateSet, fc: np.ndarray, pc: np.ndarray,
-                   w: np.ndarray, sel: np.ndarray, threshold: float):
+                   w: np.ndarray, sel: np.ndarray):
     """Hypotheses of a (B, 4) batch of candidate samples: three feed P3P,
     the fourth picks the solution of smallest angular residual.  Returns
     each sample's inlier count (-1 when it forms no hypothesis: a repeated
@@ -332,7 +332,7 @@ def _score_samples(cand: CandidateSet, fc: np.ndarray, pc: np.ndarray,
     R_best, t_best = np.zeros((sel.shape[0], 3, 3)), np.zeros((sel.shape[0], 3))
     R_best[rows], t_best[rows] = R[formed, pick], t[formed, pick]
     q = pc @ np.swapaxes(R_best[rows], -1, -2) + t_best[rows, None, :]
-    inlier = ray_angles(fc, q) <= threshold
+    inlier = ray_angles(fc, q) <= _INLIER_THRESHOLD
     counts[rows] = np.count_nonzero(inlier, axis=1)
     # a row's own sum, not a matrix product: the same bits in any batch
     mass[rows] = np.where(inlier, w, 0.0).sum(axis=1)
@@ -406,8 +406,7 @@ def ransac_p3p(candidates: CandidateSet, config: RansacConfig) -> RobustEstimate
         size = min(batch, _BATCH, limit - it)
         batch *= 2
         sel = _draw_samples(rng, log_w, size)
-        counts, mass, R, t = _score_samples(candidates, fc, pc, w, sel,
-                                            _INLIER_THRESHOLD)
+        counts, mass, R, t = _score_samples(candidates, fc, pc, w, sel)
         for b in range(size):
             it += 1
             if counts[b] >= 0 and (counts[b] > best_count or best is None):

@@ -17,9 +17,9 @@ four plans of the 30 %-outlier train benchmark (n = 200, mu 0.1) it
 takes 58, 60, 148 and 93 iterations where plain scaling takes 349, 290,
 1214 and 683.  For very small mu an optional annealing schedule
 warm-starts the potentials from larger regularization values.  The
-final plan is formed about 1 MB of rows at a time, and each block's row
-sums and column-sum terms are taken while it is in cache, so the last
-pass reads the plan once.
+kernel is built from M in the plan's buffer and scaled in place into
+the plan, P_ij = u_i K_ij v_j: one m x n array and one exponential per
+entry, each pass about 1 MB of rows at a time while they are in cache.
 
 The backward pass never materializes the (mn x mn) Jacobian.  At the
 optimum the Hessian in P is diag(mu / P_ij), so implicit
@@ -51,7 +51,7 @@ _ANNEAL_FACTOR = 3.0  # ratio between successive annealing stages
 _CG_MAX_ITERATIONS = 1000  # cap on conjugate-gradient steps in the backward
 _OMEGA_WINDOW = 10  # scaling iterations between estimates of omega
 _OMEGA_MAX = 1.95  # cap on the over-relaxation factor omega
-_EPILOGUE_BYTES = 1 << 20  # plan rows formed and summed at a time at the end
+_EPILOGUE_BYTES = 1 << 20  # plan rows built, scaled and summed at a time
 
 
 @dataclass(frozen=True)
@@ -71,48 +71,64 @@ def _logsumexp_rows(A):
     return np.log(np.exp(A - hi).sum(axis=1)) + hi[:, 0]
 
 
-def _exp_plan(logK0, phi, psi, out=None):
-    """exp(logK0 + phi[:, None] + psi[None, :]) with one m x n temporary,
-    or in `out`, which may be logK0 itself.
-
-    The same additions in the same order as the plain expression, so
-    the result has the same bits.
-    """
-    out = np.add(logK0, phi[:, None], out=out)
-    out += psi[None, :]
-    return np.exp(out, out=out)
+def _row_blocks(m, n):
+    """Slices of _EPILOGUE_BYTES of consecutive rows (at least one), or
+    none when the rows are empty."""
+    step = max(1, _EPILOGUE_BYTES // (8 * max(n, 1)))
+    return [slice(i, i + step) for i in range(0, m, step)] if n else []
 
 
-def _exp_plan_and_sums(logK0, phi, psi):
-    """_exp_plan(logK0, phi, psi, out=logK0) with its row and column
-    sums, formed _EPILOGUE_BYTES of rows at a time while they are in
-    cache.
-
-    Each block's rows are added in order into the column sums, which is
-    how numpy's sum(axis=0) reduces a C-contiguous plan with n >= 2, so
-    all three results have the bits of _exp_plan and P.sum(axis=1),
-    P.sum(axis=0).  For n = 1 (numpy sums pairwise) and non-C-contiguous
-    plans the sums are taken whole.
-    """
-    m, n = logK0.shape
-    if n == 1 or not logK0.flags.c_contiguous:
-        P = _exp_plan(logK0, phi, psi, out=logK0)
-        return P, P.sum(axis=1), P.sum(axis=0)
-    step = max(1, _EPILOGUE_BYTES // (8 * n))
-    rows = np.empty(m)
-    for i in range(0, m, step):
-        block = _exp_plan(logK0[i:i + step], phi[i:i + step], psi,
-                          out=logK0[i:i + step])
-        rows[i:i + step] = block.sum(axis=1)
-        if i == 0:
-            cols = block.sum(axis=0)
-        else:
-            for row in block:
-                cols += row
-    return logK0, rows, cols
+def _kernel(M, mu, phi, psi, out):
+    """exp(M / -mu + phi[:, None] + psi[None, :]) built in `out` a block
+    of rows at a time, each pass over a block in cache; zero potentials
+    are skipped (x + 0.0 has the bits of x, and exp(-0.0) = exp(0.0))."""
+    shifted = phi.any() or psi.any()
+    for rows in _row_blocks(*M.shape):
+        if not np.isfinite(M[rows]).all():
+            raise ValidationError("cost matrix has non-finite entries")
+        block = np.divide(M[rows], -mu, out=out[rows])
+        if shifted:
+            block += phi[rows, None]
+            block += psi
+        np.exp(block, out=block)
+    return out
 
 
-def _scale_iterations(logK0, r, c, logr, logc, phi, psi, tol, max_iterations):
+def _plan_and_sums(M, mu, K, phi, psi, u, v):
+    """The plan u_i K_ij v_j, scaled into K's buffer, and its row and
+    column sums, a block of rows at a time while it is in cache.  A
+    block where K or the plan holds a number that is not a normal float
+    takes the exp form exp(M / -mu + (phi + log u) + (psi + log v)) and
+    its bits.  Each block's column sum starts from the sums so far,
+    added into its first row: numpy adds the rows of a C-contiguous
+    array in order, so the sums have the bits of P.sum(axis=1) and
+    P.sum(axis=0) (taken whole for n = 1, which numpy sums pairwise)."""
+    m, n = K.shape
+    tiny = np.finfo(np.float64).tiny
+    sums, cols = np.empty(m), np.zeros(n)
+    for rows in _row_blocks(m, n):
+        P = K[rows]
+        k_min = P.min()
+        with np.errstate(over="ignore"):  # such a block takes the exp form
+            P *= u[rows, None]
+            P *= v
+            sums[rows] = P.sum(axis=1)
+        # rounding is monotone, so fl(fl(k_min u_min) v_min) bounds every
+        # entry from below, and finite row sums bound every entry above
+        if not (k_min >= tiny
+                and (k_min * u[rows].min() * v.min() >= tiny or P.min() >= tiny)
+                and (np.isfinite(sums[rows]).all() or P.max() < np.inf)):
+            _kernel(M[rows], mu, phi[rows] + np.log(u[rows]),
+                    psi + np.log(v), P)
+            sums[rows] = P.sum(axis=1)
+        first = P[0].copy()
+        P[0] += cols  # x + 0.0 is x for the first block
+        cols = P.sum(axis=0)
+        P[0] = first
+    return K, sums, K.sum(axis=0) if n == 1 else cols
+
+
+def _scale_iterations(M, mu, K, r, c, phi, psi, tol, max_iterations):
     """Stabilized, over-relaxed scaling loop from given potentials.
 
     Each side is updated as u <- u * (r / (u * Kv))**omega, which for
@@ -127,14 +143,11 @@ def _scale_iterations(logK0, r, c, logr, logc, phi, psi, tol, max_iterations):
     for the rest of the call, so a plan on which over-relaxation
     oscillates spends ever longer stretches on plain steps.
 
-    Returns (phi, psi, iterations): the potentials are fully absorbed
-    on exit, so log P = logK0 + phi[:, None] + psi[None, :].
+    Builds the kernel in K from M; returns (phi, psi, u, v, iterations),
+    after which K = exp(M / -mu + phi + psi) and P_ij = u_i K_ij v_j.
     """
     m = r.shape[0]
-    if phi.any() or psi.any():
-        K = _exp_plan(logK0, phi, psi)
-    else:  # x + 0.0 has the bits of x, and exp(-0.0) = exp(0.0)
-        K = np.exp(logK0)
+    _kernel(M, mu, phi, psi, K)
     u = np.ones(m)
     v = np.ones(c.shape[0])
     omega = 1.0
@@ -145,11 +158,12 @@ def _scale_iterations(logK0, r, c, logr, logc, phi, psi, tol, max_iterations):
 
     def lse_iteration():
         # exact log-domain update; unconditionally stable
-        nonlocal phi, psi, K, u, v
+        nonlocal phi, psi
+        logK0 = np.divide(M, -mu, out=K)  # K is rebuilt below
         psi = psi + np.log(v)
-        phi = logr - _logsumexp_rows(logK0 + psi[None, :])
-        psi = logc - _logsumexp_rows((logK0 + phi[:, None]).T)
-        K = _exp_plan(logK0, phi, psi)
+        phi = np.log(r) - _logsumexp_rows(logK0 + psi[None, :])
+        psi = np.log(c) - _logsumexp_rows((logK0 + phi[:, None]).T)
+        _kernel(M, mu, phi, psi, K)
         u[:] = 1.0
         v[:] = 1.0
         return np.abs(K.sum(axis=0) - c).max()
@@ -175,7 +189,7 @@ def _scale_iterations(logK0, r, c, logr, logc, phi, psi, tol, max_iterations):
                 if hi > _ABSORB_MAX or lo < 1.0 / _ABSORB_MAX:
                     phi = phi + np.log(u)
                     psi = psi + np.log(v)
-                    K = _exp_plan(logK0, phi, psi)
+                    _kernel(M, mu, phi, psi, K)
                     u[:] = 1.0
                     v[:] = 1.0
                 else:
@@ -204,7 +218,7 @@ def _scale_iterations(logK0, r, c, logr, logc, phi, psi, tol, max_iterations):
                             _OMEGA_MAX)
             start = it
 
-    return phi + np.log(u), psi + np.log(v), it
+    return phi, psi, u, v, it
 
 
 def sinkhorn_forward(M, mu: float = 0.1, tol: float = 1e-9,
@@ -225,64 +239,61 @@ def sinkhorn_forward(M, mu: float = 0.1, tol: float = 1e-9,
     With ``anneal=True`` the solve warm-starts from a geometric schedule
     of larger regularization values down to `mu`, which is dramatically
     faster when mu is small.  The fixed point is the same either way.
+    The plan is the kernel scaled by the closing factors u and v, which
+    rounds exp(-M / mu + log u + log v + potentials) more closely than
+    that form; a block of rows it would leave subnormal or zero takes it.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
         raise ValidationError(f"cost must be a nonempty 2-d matrix, got {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValidationError("cost matrix has non-finite entries")
     if not (mu > 0):
         raise ValidationError(f"entropy parameter mu must be positive, got {mu}")
     if not (tol >= 0):
         raise ValidationError(f"tolerance must be nonnegative, got {tol}")
     m, n = M.shape
     r, c = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
-    logr, logc = np.log(r), np.log(c)
 
-    if anneal and _ANNEAL_START > mu:
-        schedule = [_ANNEAL_START]
-        while schedule[-1] > mu * _ANNEAL_FACTOR:
-            schedule.append(schedule[-1] / _ANNEAL_FACTOR)
-        schedule.append(mu)
-    else:
-        schedule = [mu]
+    schedule = [_ANNEAL_START] if anneal and _ANNEAL_START > mu else []
+    while schedule and schedule[-1] > mu * _ANNEAL_FACTOR:
+        schedule.append(schedule[-1] / _ANNEAL_FACTOR)
+    schedule.append(mu)
 
-    phi = np.zeros(m)
-    psi = np.zeros(n)
+    K = np.empty((m, n))  # the kernel, then the plan: one m x n array
+    phi, psi = np.zeros(m), np.zeros(n)
+    u, v = np.ones(m), np.ones(n)
     total_it = 0
-    prev_mu = None
+    prev_mu = schedule[0]
     for stage_mu in schedule:
-        if prev_mu is not None:
-            # potentials scale inversely with the regularization strength
-            ratio = prev_mu / stage_mu
-            phi = phi * ratio
-            psi = psi * ratio
+        # potentials scale inversely with the regularization strength
+        ratio = prev_mu / stage_mu
+        phi, psi = (phi + np.log(u)) * ratio, (psi + np.log(v)) * ratio
         stage_tol = tol if stage_mu == mu else max(tol, 1e-3)
-        logK0 = M / -stage_mu
-        phi, psi, it = _scale_iterations(
-            logK0, r, c, logr, logc, phi, psi, stage_tol,
-            max_iterations - total_it)
+        phi, psi, u, v, it = _scale_iterations(
+            M, stage_mu, K, r, c, phi, psi, stage_tol, max_iterations - total_it)
         total_it += it
         prev_mu = stage_mu
         if total_it >= max_iterations:
             break
 
-    if stage_mu != mu:
-        # an annealed run stopped by the iteration cap before its last stage
-        logK0 = M / -mu
-    P, rows, cols = _exp_plan_and_sums(logK0, phi, psi)
+    if stage_mu != mu:  # the cap stopped an annealed run before mu
+        phi, psi = phi + np.log(u), psi + np.log(v)
+        u, v = np.ones(m), np.ones(n)
+        _kernel(M, mu, phi, psi, K)
+    P, rows, cols = _plan_and_sums(M, mu, K, phi, psi, u, v)
     residual = max(float(np.max(np.abs(rows - r))),
                    float(np.max(np.abs(cols - c))))
     return TransportPlan(P=P, iterations=total_it, residual=residual,
                          converged=residual <= tol)
 
 
-def sinkhorn_vjp(M, plan: TransportPlan, mu: float, grad_P) -> np.ndarray:
+def sinkhorn_vjp(M, plan: TransportPlan, mu: float, grad_P,
+                 out=None) -> np.ndarray:
     """dL/dM given dL/dP, by implicit differentiation at the optimum.
 
     `plan` must be a converged, strictly positive TransportPlan.  `M`,
     which dL/dM depends on only through the plan, is shape-checked when
-    given and may be None.
+    given and may be None.  dL/dM goes into `out` when given, which may
+    be grad_P itself, or else into a new array.
     """
     P = np.asarray(plan.P, dtype=np.float64)
     G = np.asarray(grad_P, dtype=np.float64)
@@ -294,7 +305,7 @@ def sinkhorn_vjp(M, plan: TransportPlan, mu: float, grad_P) -> np.ndarray:
         raise ValidationError(f"grad_P shape {G.shape} does not match plan {P.shape}")
     if not (mu > 0):
         raise ValidationError("mu must be positive")
-    if not np.all(P > 0):  # also fails on NaN
+    if not P.min() > 0:  # also fails on NaN
         raise ValidationError("transport plan must be strictly positive")
     if not plan.converged:
         raise ValidationError(
@@ -315,7 +326,12 @@ def sinkhorn_vjp(M, plan: TransportPlan, mu: float, grad_P) -> np.ndarray:
     tol = 1e-12 * (np.linalg.norm(gam) + np.linalg.norm(y))
     beta = _schur_cg(P, r, P.sum(axis=0), gam - y, tol)
     alpha = (rho - P @ beta) / r
-    return P * (alpha[:, None] + beta[None, :] - G) / mu
+    out = np.empty((m, n)) if out is None else out
+    for rows in _row_blocks(m, n):  # P * (alpha + beta - G) / mu, in order
+        block = np.subtract(alpha[rows, None] + beta, G[rows], out=out[rows])
+        block *= P[rows]
+        block /= mu
+    return out
 
 
 def _schur_cg(P, r, c, b, tol):

@@ -7,9 +7,9 @@ Forward: minimize over pose (r, t) the weighted misalignment
 
 by damped Newton on the exact pose Hessian from a supplied
 initialization.  The objective is linear in P, so it collapses to
-per-point aggregates w_j = sum_i P_ij and s_j = sum_i P_ij f_i: every
-gradient and Hessian costs O(n) regardless of how many pairs carry
-weight.
+per-point aggregates w_j = sum_i P_ij and s_j = sum_i P_ij f_i, the rows
+of one product [F 1]' P that reads a dense P once: every gradient and
+Hessian costs O(n) regardless of how many pairs carry weight.
 
 Backward: at a stationary point, the derivative of the pose with
 respect to the weights is -inv(H) B, where H is the 6x6 pose Hessian
@@ -42,6 +42,7 @@ from .errors import NumericalError, SingularHessianError, ValidationError
 from .geometry import (Pose, _dot3, _pairs_array, canonicalize_angle_axis,
                        check_bearings_and_points, check_pairs_in_range,
                        so3_exp_and_derivatives)
+from .transport import _row_blocks
 
 _CS_STEP = 1e-20  # complex-step size; no subtractive cancellation
 _EPS = np.finfo(np.float64).eps
@@ -100,19 +101,6 @@ class PnPProblem:
         return self.bearings.shape[0], self.points.shape[0]
 
 
-def _check_entries(problem: PnPProblem) -> None:
-    """Finite unit bearings, finite points, in-range pairs and
-    nonnegative weights; `_check_total` checks the weight total."""
-    check_bearings_and_points(problem.bearings, problem.points)
-    values = problem.weights
-    if isinstance(values, SparseWeights):
-        check_pairs_in_range(values.pairs, *problem.shape, "weight pair")
-        values = values.values
-    # min() >= 0 fails on NaN, a finite total on +inf; no m x n mask
-    if values.size and not values.min() >= 0:
-        raise ValidationError("weights must be nonnegative numbers")
-
-
 def _check_total(total: float, check_normalization: bool) -> None:
     if not np.isfinite(total):
         raise ValidationError(f"weights sum to {total}")
@@ -156,12 +144,21 @@ class SecondOrderData:
     singular: bool
 
 
-def _collapse_weights(problem: PnPProblem):
+def _collapse_weights(problem: PnPProblem, check: bool = False):
     """Per-point aggregates (w_j, s_j) that fully determine the objective,
-    and the mask of active points, those with any weight."""
+    and the mask of active points, those with any weight.  With `check`,
+    first raises on invalid bearings, points or pairs and on weights that
+    are not nonnegative numbers (min() >= 0 fails on NaN, the total on
+    +inf).  Dense weights P are read once, in blocks of rows."""
     m, n = problem.shape
+    if check:
+        check_bearings_and_points(problem.bearings, problem.points)
     if isinstance(problem.weights, SparseWeights):
         pairs, values = problem.weights.pairs, problem.weights.values
+        if check:
+            check_pairs_in_range(pairs, m, n, "weight pair")
+            if values.size and not values.min() >= 0:
+                raise ValidationError("weights must be nonnegative numbers")
         w = np.zeros(n)
         s = np.zeros((n, 3))
         np.add.at(w, pairs[:, 1], values)
@@ -169,9 +166,13 @@ def _collapse_weights(problem: PnPProblem):
                   values[:, None] * problem.bearings[pairs[:, 0]])
     else:
         P = problem.weights
-        w = P.sum(axis=0)
-        # not P.T @ bearings: BLAS would pack a transposed copy of P
-        s = (problem.bearings.T @ P).T
+        F1 = np.hstack([problem.bearings, np.ones((m, 1))])
+        sw = np.zeros((4, n))
+        for rows in _row_blocks(m, n):
+            if check and not P[rows].min() >= 0:  # checked while in cache
+                raise ValidationError("weights must be nonnegative numbers")
+            sw += F1[rows].T @ P[rows]  # not P.T @ F1: no transposed copy
+        s, w = sw[:3].T, sw[3]
     return w, s, (w > 0) | (np.abs(s).sum(axis=1) > 0)
 
 
@@ -281,9 +282,7 @@ def pnp_solve(problem: PnPProblem, config: PnPSolverConfig | None = None,
     they would shrink |g| forever); `iterations` counts the damped ones.
     """
     config = config or PnPSolverConfig()
-    # the total comes from the column sums: no extra pass over dense weights
-    _check_entries(problem)
-    w, s, active = _collapse_weights(problem)
+    w, s, active = _collapse_weights(problem, check=True)
     _check_total(float(w.sum()), check_normalization)
     points = problem.points
     x = np.concatenate([canonicalize_angle_axis(problem.init.r),

@@ -1,6 +1,7 @@
 """End-to-end composition: forward recovery, chained backward, the
 alternation baseline, and the metrics helpers."""
 
+import tracemalloc
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -152,6 +153,29 @@ class TestBackward:
         dM = backward(result, inst, PipelineConfig(), dlc, pl.grad)
         assert dM.shape == M.shape
         assert np.all(np.isfinite(dM))
+
+    def test_peak_memory_is_one_plan_and_grad_P_is_kept(self):
+        # the pose path's fresh dense gradient takes grad_P and then
+        # dL/dM; a new array for the sum and another for dL/dM took 2.02
+        # plans.  With no pose gradient, dL/dM is the one new array.
+        inst = generate_instance(SynthConfig(n_points=1000, seed=0))
+        M = oracle_cost(inst, sharpness=5.0)
+        config = PipelineConfig()
+        result = solve(M, inst, config)
+        _, dlc = correspondence_loss(result.plan.P, inst.bearings,
+                                     inst.points, inst.gt_pose, theta=0.01,
+                                     gt_pairs=inst.gt_pairs)
+        kept = dlc.copy()
+        for grad_pose in [pose_loss(result.refined_pose, inst.gt_pose).grad,
+                          np.zeros(6)]:
+            backward(result, inst, config, dlc, grad_pose)  # warm up BLAS
+            tracemalloc.start()
+            tracemalloc.reset_peak()
+            backward(result, inst, config, dlc, grad_pose)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert peak <= 1.2 * M.nbytes
+            assert dlc.tobytes() == kept.tobytes()
 
     def test_zero_gradients_give_zero(self):
         inst, M, config = self._case()

@@ -358,9 +358,9 @@ class TestRansac:
         drawn = []
         score = pose_solvers._score_samples
 
-        def spy(cand, fc, pc, w, sel, threshold):
-            drawn.append(sel)
-            return score(cand, fc, pc, w, sel, threshold)
+        def spy(*args, **kwargs):
+            drawn.append(args[4])
+            return score(*args, **kwargs)
 
         monkeypatch.setattr(pose_solvers, "_score_samples", spy)
         est = ransac_p3p(cand, RansacConfig(seed=3))

@@ -21,16 +21,45 @@ from blindpnp.losses import correspondence_loss, pose_loss
 from blindpnp.pipeline import PipelineConfig, backward, solve
 from blindpnp.synth import SynthConfig, generate_instance, oracle_cost
 from blindpnp.transport import (_ABSORB_MAX, _EPILOGUE_BYTES, _OMEGA_WINDOW,
-                                TransportPlan, _exp_plan, _exp_plan_and_sums,
-                                _logsumexp_rows, sinkhorn_forward, sinkhorn_vjp,
+                                TransportPlan, _kernel, _logsumexp_rows,
+                                _plan_and_sums, sinkhorn_forward, sinkhorn_vjp,
                                 transport_cost)
 
+TINY = np.finfo(np.float64).tiny
 
-def reference_sinkhorn(M, mu, tol=1e-9, max_iterations=10000):
+
+def exp_plan(logK0, phi, psi):
+    """The unfused exp(logK0 + phi[:, None] + psi[None, :])."""
+    return np.exp(logK0 + phi[:, None] + psi[None, :])
+
+
+def exp_form(M, mu, phi, psi, u, v):
+    """The plan as exp(-M / mu + (phi + log u) + (psi + log v))."""
+    return exp_plan(-M / mu, phi + np.log(u), psi + np.log(v))
+
+
+def reference_plan(M, mu, K, phi, psi, u, v):
+    """The final plan's rule on whole arrays: u_i K_ij v_j, except in each
+    block of _EPILOGUE_BYTES of rows where K or that product holds a
+    number that is not a normal float; such a block takes the exp form."""
+    m, n = K.shape
+    with np.errstate(over="ignore"):  # such a block takes the exp form
+        P = K * u[:, None] * v[None, :]
+    E = exp_form(M, mu, phi, psi, u, v)
+    step = max(1, _EPILOGUE_BYTES // (8 * n))
+    for i in range(0, m, step):
+        block = np.abs(np.concatenate([K[i:i + step], P[i:i + step]]))
+        if not np.all((block >= TINY) & (block < np.inf)):
+            P[i:i + step] = E[i:i + step]
+    return P
+
+
+def reference_scaling(M, mu, tol=1e-9, max_iterations=10000):
     """The plain stabilized scaling loop that over-relaxation replaced:
     u = r / Kv, v = c / K'u, with the same log-sum-exp and absorption
     fallbacks, stopped on the row residual alone (after a plain
-    v-update the columns match c)."""
+    v-update the columns match c).  Returns (K, phi, psi, u, v,
+    iterations), the state that the final plan is formed from."""
     m, n = M.shape
     r, c = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
     logK0 = -M / mu
@@ -48,17 +77,25 @@ def reference_sinkhorn(M, mu, tol=1e-9, max_iterations=10000):
             psi = psi + np.log(v)
             phi = np.log(r) - _logsumexp_rows(logK0 + psi[None, :])
             psi = np.log(c) - _logsumexp_rows((logK0 + phi[:, None]).T)
-            K, u, v = _exp_plan(logK0, phi, psi), np.ones(m), np.ones(n)
+            K, u, v = exp_plan(logK0, phi, psi), np.ones(m), np.ones(n)
         else:
             v = c / KTu
             if max(u.max(), v.max()) > _ABSORB_MAX \
                     or min(u.min(), v.min()) < 1.0 / _ABSORB_MAX:
                 phi, psi = phi + np.log(u), psi + np.log(v)
-                K, u, v = _exp_plan(logK0, phi, psi), np.ones(m), np.ones(n)
+                K, u, v = exp_plan(logK0, phi, psi), np.ones(m), np.ones(n)
         Kv = K @ v
         if np.max(np.abs(u * Kv - r)) <= 0.5 * tol:
             break
-    P = _exp_plan(logK0, phi + np.log(u), psi + np.log(v))
+    return K, phi, psi, u, v, it
+
+
+def reference_sinkhorn(M, mu, tol=1e-9, max_iterations=10000):
+    """`reference_scaling` with the final plan and its residual."""
+    m, n = M.shape
+    r, c = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+    K, phi, psi, u, v, it = reference_scaling(M, mu, tol, max_iterations)
+    P = reference_plan(M, mu, K, phi, psi, u, v)
     residual = max(np.max(np.abs(P.sum(axis=1) - r)),
                    np.max(np.abs(P.sum(axis=0) - c)))
     return TransportPlan(P=P, iterations=it, residual=float(residual),
@@ -205,9 +242,18 @@ class TestForward:
             sinkhorn_forward(np.array([[np.inf, 1.0], [1.0, 1.0]]), mu=0.1)
         with pytest.raises(ValidationError, match="tolerance"):
             sinkhorn_forward(np.ones((2, 2)), mu=0.1, tol=-1.0)
+        # the check runs per block of rows: a NaN in the last one, and
+        # huge finite entries
+        M = np.zeros((2, _EPILOGUE_BYTES // 8))
+        M[1, -1] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            sinkhorn_forward(M, mu=0.1)
+        plan = sinkhorn_forward(np.full((3, 4), 1e308), mu=1e308)
+        assert plan.converged and np.all(plan.P == plan.P[0, 0])
 
-    def test_peak_memory_is_log_kernel_plus_plan(self):
-        # -M/mu and the plan; the unfused exponential took 24 B/entry
+    def test_peak_memory_is_one_plan(self):
+        # the kernel is built in the plan's buffer and scaled into the
+        # plan; keeping -M/mu beside the kernel took 2.01 plans
         inst = generate_instance(SynthConfig(n_points=1000, seed=0))
         M = oracle_cost(inst, 5.0)
         tracemalloc.start()
@@ -215,13 +261,14 @@ class TestForward:
         sinkhorn_forward(M, mu=0.1)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        assert peak <= 17 * M.size
+        assert peak <= 1.2 * M.nbytes
 
     @settings(deadline=None, derandomize=True, database=None)
     @given(st.data())
     def test_exp_plan_matches_unfused_expression(self, data):
-        # any finite float, so signed zeros, overflow to inf and
-        # inf - inf = nan all occur
+        # the kernel built in place from M = -logK0 at mu = 1; any finite
+        # float, so signed zeros, overflow to inf, inf - inf = nan and
+        # all-zero potentials all occur
         m = data.draw(st.integers(1, 6))
         n = data.draw(st.integers(1, 6))
         finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -229,15 +276,27 @@ class TestForward:
         phi = data.draw(arrays(np.float64, (m,), elements=finite))
         psi = data.draw(arrays(np.float64, (n,), elements=finite))
         with np.errstate(all="ignore"):
-            want = np.exp(logK0 + phi[:, None] + psi[None, :])
-            got = _exp_plan(logK0, phi, psi)
+            want = exp_plan(logK0, phi, psi)
+            got = _kernel(-logK0, 1.0, phi, psi, np.empty((m, n)))
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
 
+def assert_scaled_near_exp_form(M, mu, K, phi, psi, u, v):
+    """The plan that `_plan_and_sums` forms from a scaling state is
+    positive exactly where the exp form is, and within 1e-13 of it,
+    relative, on every entry that is a normal float in both."""
+    E = exp_form(M, mu, phi, psi, u, v)
+    P, _, _ = _plan_and_sums(M, mu, K.copy(), phi, psi, u, v)
+    assert np.array_equal(P > 0, E > 0)
+    normal = (P >= TINY) & (E >= TINY)
+    assert np.all(np.abs(P[normal] - E[normal]) <= 1e-13 * E[normal])
+
+
 class TestBlockedEpilogue:
     """The final plan and its marginals, formed _EPILOGUE_BYTES of rows
-    at a time, against the whole-plan expressions they replaced."""
+    at a time: u K v by the rule of `reference_plan`, against the exp
+    form and the whole-plan sums."""
 
     @settings(deadline=None, derandomize=True, database=None)
     @given(st.data())
@@ -250,24 +309,87 @@ class TestBlockedEpilogue:
                                 st.just(1), st.just(2 * step)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         scale = data.draw(st.sampled_from([1.0, 30.0, 400.0]))
+        mu = 0.1
         logK0 = rng.normal(-3.0, scale, (m, n))
         phi = rng.normal(0.0, scale, m)
         psi = rng.normal(0.0, scale, n)
-        # shifted so that no row or column sum overflows; at scale 400 the
-        # entries still run down past underflow, to subnormals and zeros
-        top = np.max(logK0 + phi[:, None] + psi[None, :])
+        # scalings inside the loop's absorption bounds 1e-130 and 1e130
+        u = np.exp(rng.uniform(-1.0, 1.0, m) * min(scale, 290.0))
+        v = np.exp(rng.uniform(-1.0, 1.0, n) * min(scale, 290.0))
+        # shifted so that neither K nor a row or column sum overflows; at
+        # scale 30 and 400 entries run down past underflow, to subnormals
+        # and zeros, and whole blocks take the exp form
+        shifted = logK0 + phi[:, None] + psi[None, :]
+        top = max(shifted.max(),
+                  np.max(shifted + np.log(u)[:, None] + np.log(v)[None, :]))
         ceiling = np.log(np.finfo(np.float64).max) - np.log(max(m, n)) - 1.0
-        logK0 -= max(0.0, top - ceiling)
+        M = -mu * (logK0 - max(0.0, top - ceiling))
         if data.draw(st.booleans()):
-            logK0 = np.asfortranarray(logK0)
-        want = _exp_plan(logK0.copy(order="K"), phi, psi)
-        got, rows, cols = _exp_plan_and_sums(logK0, phi, psi)
-        assert got is logK0
+            M = np.asfortranarray(M)
+        K = np.ascontiguousarray(exp_plan(-M / mu, phi, psi))
+        want = reference_plan(M, mu, K, phi, psi, u, v)
+        got, rows, cols = _plan_and_sums(M, mu, K, phi, psi, u, v)
+        assert got is K
         assert np.all(np.isfinite(rows)) and np.all(np.isfinite(cols))
         for g, w in [(got, want), (rows, want.sum(axis=1)),
                      (cols, want.sum(axis=0))]:
             assert g.dtype == w.dtype and g.shape == w.shape
             assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("n, sharpness, noise, outliers", [
+        (500, 5.0, 0.0, 0.0), (500, 1.0, 0.3, 0.0), (200, 1.0, 0.3, 0.3)])
+    def test_scaled_plan_near_exp_form_on_workload_plans(
+            self, n, sharpness, noise, outliers):
+        # the inputs of the three benchmark workloads, n capped at 500
+        inst = generate_instance(SynthConfig(
+            n_points=n, pixel_noise_sigma=2.0, outlier_fraction=outliers,
+            seed=7))
+        M = oracle_cost(inst, sharpness, noise_sigma=noise, seed=7)
+        assert_scaled_near_exp_form(M, 0.1, *reference_scaling(M, 0.1)[:5])
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=60)
+    @given(n=st.integers(2, 60), sharpness=st.floats(0.5, 8.0),
+           mu=st.floats(0.02, 0.5), noise=st.sampled_from([0.0, 0.3, 1.0]),
+           outliers=st.sampled_from([0.0, 0.3]),
+           iterations=st.sampled_from([1, 30, 300]), seed=st.integers(0, 999))
+    def test_scaled_plan_near_exp_form(self, n, sharpness, mu, noise,
+                                       outliers, iterations, seed):
+        # the state after a given number of plain scaling steps
+        inst = generate_instance(SynthConfig(n_points=n, seed=seed,
+                                             outlier_fraction=outliers))
+        M = oracle_cost(inst, sharpness, noise_sigma=noise, seed=seed)
+        state = reference_scaling(M, mu, max_iterations=iterations)
+        assert_scaled_near_exp_form(M, mu, *state[:5])
+
+    def test_underflowing_blocks_take_the_exp_form(self, monkeypatch):
+        # a spread cost at small mu underflows in the rows of every other
+        # block: those blocks are the exp form bit for bit, and the plan
+        # is positive exactly where the exp form is
+        m, n, mu = 48, 20000, 0.01
+        step = _EPILOGUE_BYTES // (8 * n)
+        spread = (np.arange(m) // step) % 2 == 1
+        rng = np.random.default_rng(5)
+        M = rng.uniform(0.0, 1.0, (m, n))
+        M[spread] *= 10.0  # down to exp(-1000) = 0
+        states = []
+
+        def spy(M, mu, K, phi, psi, u, v):
+            states.append((K.copy(), phi, psi, u, v))
+            return _plan_and_sums(M, mu, K, phi, psi, u, v)
+
+        monkeypatch.setattr(transport, "_plan_and_sums", spy)
+        P = sinkhorn_forward(M, mu=mu, max_iterations=50).P
+        K, phi, psi, u, v = states[0]
+        E = exp_form(M, mu, phi, psi, u, v)
+        assert np.array_equal(P > 0, E > 0)
+        assert not np.all(E[spread] > 0) and np.all(E[~spread] >= TINY)
+        for i in range(0, m, step):
+            block = slice(i, i + step)
+            if spread[i]:
+                assert P[block].tobytes() == E[block].tobytes()
+            else:
+                assert np.all(P[block] >= TINY)
+                assert np.array_equal(P[block], K[block] * u[block, None] * v)
 
     @pytest.mark.parametrize("shape", [(500, 500), (1, 300), (300, 1),
                                        (70000, 3), (4, 140000)])

@@ -103,6 +103,11 @@ class TestObjective:
             value, grad = pnp_objective(problem, random_pose(rng))
             assert value == 0.0
             np.testing.assert_array_equal(grad, np.zeros(6))
+        # no points at all: the dense weights have no columns
+        empty = PnPProblem(bearings=bearings, points=np.zeros((0, 3)),
+                           weights=np.zeros((5, 0)), init=pose)
+        assert pnp_objective(empty, pose)[0] == 0.0
+        assert pnp_solve(empty, check_normalization=False).converged
 
     def test_value_bounded_by_twice_weight_sum(self, rng):
         problem, _ = concentrated_problem(rng)
