@@ -29,7 +29,8 @@ import numpy as np
 
 from . import __version__
 from .errors import BlindPnpError, ValidationError
-from .geometry import Pose, check_angle_threshold, exp_so3, log_so3
+from .geometry import (INLIER_THRESHOLD, Pose, check_angle_threshold,
+                       exp_so3, log_so3)
 from .gradcheck import ALL_CHECKS, run_all
 from .pipeline import (PipelineConfig, alternation_baseline, pose_errors,
                        quartiles, recall, solve)
@@ -108,7 +109,7 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
                    help="cap on damped Newton steps of the pose refinement")
     p.add_argument("--refine-tolerance", type=float,
                    default=PnPSolverConfig.gradient_tolerance,
-                   help="gradient norm at which the refined pose converges")
+                   help="gradient norm per unit weight at which the refine converges")
 
 
 def _add_cost_flags(p: argparse.ArgumentParser) -> None:
@@ -431,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--jobs", type=int, default=1)
     b.add_argument("--thresholds", default="5,10,15",
                    help="rotation recall thresholds in degrees")
-    b.add_argument("--theta", type=float, default=0.01,
+    b.add_argument("--theta", type=float, default=INLIER_THRESHOLD,
                    help="angular inlier threshold of the alternation baseline")
     _add_cost_flags(b)
     _add_pipeline_flags(b)

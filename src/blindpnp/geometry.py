@@ -24,6 +24,7 @@ from .errors import ValidationError
 
 # ||r||^2 below this uses the Taylor branch of the exponential map.
 _SMALL_ANGLE_SQ = 1e-4
+_ROTATION_TOL = 1e-6  # max |R'R - I| of a matrix taken as a rotation
 
 
 def _as_vec3(x, name: str) -> np.ndarray:
@@ -112,10 +113,7 @@ def exp_so3(r) -> np.ndarray:
     r = np.asarray(r)
     if r.shape != (3,):
         raise ValidationError(f"angle-axis must be a 3-vector, got {r.shape}")
-    sq = r @ r
-    a, b, _, _ = _rodrigues_coeffs(sq)
-    S = skew(r)
-    return np.eye(3, dtype=S.dtype) + a * S + b * (S @ S)
+    return so3_exp_and_derivatives(r)[0]
 
 
 def so3_exp_and_derivatives(r):
@@ -168,27 +166,27 @@ def _quaternion_from_matrix(R: np.ndarray) -> np.ndarray:
     return q / np.sqrt(q @ q)
 
 
-def validate_rotation_matrix(R, tol: float = 1e-6) -> np.ndarray:
+def validate_rotation_matrix(R) -> np.ndarray:
     R = np.asarray(R, dtype=np.float64)
     if R.shape != (3, 3):
         raise ValidationError(f"rotation matrix must be 3x3, got {R.shape}")
     err = np.max(np.abs(R.T @ R - np.eye(3)))
-    if err > tol:
-        raise ValidationError(
-            f"matrix is not orthonormal: max |R'R - I| = {err:.3e} > {tol:.0e}")
+    if err > _ROTATION_TOL:
+        raise ValidationError("matrix is not orthonormal: max |R'R - I| = "
+                              f"{err:.3e} > {_ROTATION_TOL:.0e}")
     if np.linalg.det(R) < 0:
         raise ValidationError("matrix has negative determinant (reflection)")
     return R
 
 
-def log_so3(R, tol: float = 1e-6) -> np.ndarray:
+def log_so3(R) -> np.ndarray:
     """Angle-axis vector of a rotation matrix, with norm in [0, pi].
 
     Goes through a quaternion so the extraction stays stable at and near
     180 degrees (exp_so3(log_so3(R)) reproduces R to ~1e-12 everywhere).
     At exactly 180 degrees the axis sign is chosen deterministically.
     """
-    R = validate_rotation_matrix(R, tol)
+    R = validate_rotation_matrix(R)
     w, x, y, z = _quaternion_from_matrix(R)
     vn = np.sqrt(x * x + y * y + z * z)
     angle = 2.0 * np.arctan2(vn, w)
@@ -289,6 +287,9 @@ def check_bearings_and_points(bearings: np.ndarray, points: np.ndarray) -> None:
         raise ValidationError("bearings must be finite unit vectors")
     if not np.isfinite(points).all():
         raise ValidationError("points must be finite")
+
+
+INLIER_THRESHOLD = 0.01  # radians: RANSAC's test; the loss's and --theta's default
 
 
 def check_angle_threshold(theta, name: str = "theta") -> None:

@@ -160,7 +160,7 @@ def check_pnp_second_order(seeds=range(10), tol: float = 1e-5,
     def compare(seed):
         problem, solution, P = _random_stationary_problem(seed, n=n)
         pose = solution.pose
-        data = pnp_second_order(problem, pose)
+        data = pnp_second_order(problem, solution)
         if data.singular:
             return f"cond {data.condition_number:.1e}"
 
@@ -203,8 +203,7 @@ def check_pnp_vjp(seeds=range(10), tol: float = 1e-4, fd_step: float = 1e-6,
         def pose_at_weights(Px):
             pr = PnPProblem(problem.bearings, problem.points, Px,
                             solution.pose)
-            return pnp_solve(pr, tight,
-                             check_normalization=False).pose.as_vector()
+            return pnp_solve(pr, tight).pose.as_vector()
 
         picks = np.unravel_index(
             rng.choice(P.size, size=min(probes_per_case, P.size),

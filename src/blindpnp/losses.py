@@ -15,14 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import (Pose, check_angle_threshold, ray_angles,
+from .geometry import (INLIER_THRESHOLD, Pose, check_angle_threshold,
+                       check_pairs_in_range, ray_angles,
                        so3_exp_and_derivatives, transform_points,
                        validate_one_to_one)
 
 
 @dataclass(frozen=True)
 class LossConfig:
-    theta: float = 0.01        # angular inlier threshold, radians
+    theta: float = INLIER_THRESHOLD   # angular inlier threshold, radians
 
     def __post_init__(self):
         check_angle_threshold(self.theta)
@@ -39,6 +40,7 @@ def inlier_sign_matrix(bearings, points, gt_pose: Pose, theta: float,
     n = np.asarray(points).shape[0]
     if gt_pairs is not None:
         pairs = validate_one_to_one(gt_pairs)
+        check_pairs_in_range(pairs, m, n, "gt pair")
         ind = np.zeros((m, n), dtype=bool)
         ind[pairs[:, 0], pairs[:, 1]] = True
     else:

@@ -25,8 +25,9 @@ import numpy as np
 
 from .assignment import correspondences_from_pose
 from .errors import DegenerateGeometryError, NumericalError, ValidationError
-from .geometry import (Pose, _pairs_array, check_bearings_and_points,
-                       check_pairs_in_range, log_so3, ray_angles)
+from .geometry import (INLIER_THRESHOLD, Pose, _pairs_array,
+                       check_bearings_and_points, check_pairs_in_range,
+                       log_so3, ray_angles)
 from .weighted_pnp import PnPProblem, PnPSolverConfig, SparseWeights, pnp_solve
 
 _COLLINEAR_DIST = 1e-9
@@ -41,7 +42,6 @@ _FIRST_BATCH = 32
 _BATCH = 64
 _ZERO_WEIGHT_GAP = 1e3  # log-weight gap below the lightest positive weight
 _REFITS = 4  # at most this many re-scored refits of the inlier set
-_INLIER_THRESHOLD = 0.01  # angular reprojection error of an inlier, radians
 _CONFIDENCE = 0.99  # of the stopping bound on the sample count
 
 
@@ -332,7 +332,7 @@ def _score_samples(cand: CandidateSet, fc: np.ndarray, pc: np.ndarray,
     R_best, t_best = np.zeros((sel.shape[0], 3, 3)), np.zeros((sel.shape[0], 3))
     R_best[rows], t_best[rows] = R[formed, pick], t[formed, pick]
     q = pc @ np.swapaxes(R_best[rows], -1, -2) + t_best[rows, None, :]
-    inlier = ray_angles(fc, q) <= _INLIER_THRESHOLD
+    inlier = ray_angles(fc, q) <= INLIER_THRESHOLD
     counts[rows] = np.count_nonzero(inlier, axis=1)
     # a row's own sum, not a matrix product: the same bits in any batch
     mass[rows] = np.where(inlier, w, 0.0).sum(axis=1)
@@ -429,7 +429,7 @@ def ransac_p3p(candidates: CandidateSet, config: RansacConfig) -> RobustEstimate
 
     pose, inliers, _ = refit_to_inliers(
         candidates.bearings, candidates.points,
-        Pose(log_so3(best[0]), best[1]), _INLIER_THRESHOLD, _REFITS,
+        Pose(log_so3(best[0]), best[1]), INLIER_THRESHOLD, _REFITS,
         candidates.pairs)
     return RobustEstimate(pose=pose, inliers=inliers, iterations_used=it,
                           found_pose=best_count > 0,

@@ -11,13 +11,19 @@ per-point aggregates w_j = sum_i P_ij and s_j = sum_i P_ij f_i, the rows
 of one product [F 1]' P that reads a dense P once: every gradient and
 Hessian costs O(n) regardless of how many pairs carry weight.
 
+The solve stops at |g| <= gradient_tolerance * sum(P): like the
+minimizer, the rule ignores the scale of the weights, and weights scaled
+by a power of two give the same pose bit for bit.  Every entry point
+checks its problem by the same rules.
+
 Backward: at a stationary point, the derivative of the pose with
 respect to the weights is -inv(H) B, where H is the 6x6 pose Hessian
 and column (i, j) of B is the pose gradient of that pair's residual.
 One rank-3 factor gives both: for any 6-vector z, the pair products
 B z are -f_i . C_j with one 3-vector C_j per point.  The
 vector-Jacobian product takes z = inv(H) dL/dx (the dense product is
-F C'); `pnp_second_order` forms B from z = e_k.  One camera-center
+F C'); `pnp_second_order` forms B from z = e_k.  Both take a converged
+`PnPSolution` and compute the directions and H once.  One camera-center
 rule holds throughout: a point whose direction is used must not lie at
 the camera center, and any other point is ignored.  The forward uses
 the points with weight, the backward those that some listed pair
@@ -46,16 +52,7 @@ from .transport import _row_blocks
 
 _CS_STEP = 1e-20  # complex-step size; no subtractive cancellation
 _EPS = np.finfo(np.float64).eps
-_NORMALIZATION_TOL = 1e-6  # allowed |sum(weights) - 1| of a normalized problem
-_STATIONARITY_TOL = 1e-6  # |grad| above which a pose is not an optimum
 _MAX_CONDITION = 1e12  # pose Hessian condition number the backward accepts
-
-
-def _conditioning(H: np.ndarray, active: np.ndarray):
-    """(condition number, singular) of the pose Hessian.  Fewer than 3
-    points with weight fix at most 4 of the 6 pose coordinates: inf."""
-    cond = float(np.linalg.cond(H)) if np.count_nonzero(active) >= 3 else np.inf
-    return cond, not cond <= _MAX_CONDITION
 
 
 @dataclass(frozen=True)
@@ -101,17 +98,9 @@ class PnPProblem:
         return self.bearings.shape[0], self.points.shape[0]
 
 
-def _check_total(total: float, check_normalization: bool) -> None:
-    if not np.isfinite(total):
-        raise ValidationError(f"weights sum to {total}")
-    if check_normalization and abs(total - 1.0) > _NORMALIZATION_TOL:
-        raise ValidationError(
-            f"weights sum to {total}, expected 1 +- {_NORMALIZATION_TOL}")
-
-
 @dataclass(frozen=True)
 class PnPSolverConfig:
-    gradient_tolerance: float = 1e-9
+    gradient_tolerance: float = 1e-9  # |g| per unit of total weight
     max_iterations: int = 200        # cap on Newton steps
     # Has no effect: every solve ends at the rounding floor that the old
     # Newton polish reached.  Kept because perfbench/run.py still sets it.
@@ -144,21 +133,19 @@ class SecondOrderData:
     singular: bool
 
 
-def _collapse_weights(problem: PnPProblem, check: bool = False):
+def _collapse_weights(problem: PnPProblem):
     """Per-point aggregates (w_j, s_j) that fully determine the objective,
-    and the mask of active points, those with any weight.  With `check`,
-    first raises on invalid bearings, points or pairs and on weights that
-    are not nonnegative numbers (min() >= 0 fails on NaN, the total on
-    +inf).  Dense weights P are read once, in blocks of rows."""
+    and the mask of active points, those with any weight.  First raises
+    ValidationError on invalid bearings, points or pairs and on weights
+    that are not nonnegative numbers (min() >= 0 fails on NaN, the total
+    on +inf).  Dense weights P are read once, in blocks of rows."""
     m, n = problem.shape
-    if check:
-        check_bearings_and_points(problem.bearings, problem.points)
+    check_bearings_and_points(problem.bearings, problem.points)
     if isinstance(problem.weights, SparseWeights):
         pairs, values = problem.weights.pairs, problem.weights.values
-        if check:
-            check_pairs_in_range(pairs, m, n, "weight pair")
-            if values.size and not values.min() >= 0:
-                raise ValidationError("weights must be nonnegative numbers")
+        check_pairs_in_range(pairs, m, n, "weight pair")
+        if values.size and not values.min() >= 0:
+            raise ValidationError("weights must be nonnegative numbers")
         w = np.zeros(n)
         s = np.zeros((n, 3))
         np.add.at(w, pairs[:, 1], values)
@@ -169,10 +156,12 @@ def _collapse_weights(problem: PnPProblem, check: bool = False):
         F1 = np.hstack([problem.bearings, np.ones((m, 1))])
         sw = np.zeros((4, n))
         for rows in _row_blocks(m, n):
-            if check and not P[rows].min() >= 0:  # checked while in cache
+            if not P[rows].min() >= 0:  # checked while in cache
                 raise ValidationError("weights must be nonnegative numbers")
             sw += F1[rows].T @ P[rows]  # not P.T @ F1: no transposed copy
         s, w = sw[:3].T, sw[3]
+    if not np.isfinite(w.sum()):
+        raise ValidationError(f"weights sum to {w.sum()}")
     return w, s, (w > 0) | (np.abs(s).sum(axis=1) > 0)
 
 
@@ -269,21 +258,22 @@ def _damped_step(w, s, points, active, x, value, g, H, noise):
                   np.finfo(float).tiny)
 
 
-def pnp_solve(problem: PnPProblem, config: PnPSolverConfig | None = None,
-              check_normalization: bool = True) -> PnPSolution:
+def pnp_solve(problem: PnPProblem,
+              config: PnPSolverConfig | None = None) -> PnPSolution:
     """Minimize the weighted alignment objective from the stored init.
 
     Damped Newton steps on the exact pose Hessian (`_damped_step`) until
-    |g| <= gradient_tolerance or `max_iterations` steps.  A converged
-    solve then takes full Newton steps on the Hessian there while they
-    shrink |g|, so it ends at the rounding floor of the stationarity
-    condition that the implicit backward differentiates.  The full
-    steps share the `max_iterations` budget (without a finite minimizer
-    they would shrink |g| forever); `iterations` counts the damped ones.
+    |g| <= gradient_tolerance * sum(weights) or `max_iterations` steps.
+    A converged solve then takes full Newton steps on the Hessian there
+    while they shrink |g|, so it ends at the rounding floor of the
+    stationarity condition that the implicit backward differentiates.
+    The full steps share the `max_iterations` budget (without a finite
+    minimizer they would shrink |g| forever); `iterations` counts the
+    damped ones.
     """
     config = config or PnPSolverConfig()
-    w, s, active = _collapse_weights(problem, check=True)
-    _check_total(float(w.sum()), check_normalization)
+    w, s, active = _collapse_weights(problem)
+    tolerance = config.gradient_tolerance * w.sum()
     points = problem.points
     x = np.concatenate([canonicalize_angle_axis(problem.init.r),
                         problem.init.t])
@@ -297,8 +287,7 @@ def pnp_solve(problem: PnPProblem, config: PnPSolverConfig | None = None,
     noise = 64 * _EPS * np.sum(w[active])
     value, g, directions = _value_and_gradient(w, s, points, x, active)
     iterations = 0
-    while (np.linalg.norm(g) > config.gradient_tolerance
-           and iterations < config.max_iterations):
+    while np.linalg.norm(g) > tolerance and iterations < config.max_iterations:
         H = _hessian(s, points, x, directions)
         step = _damped_step(w, s, points, active, x, value, g, H, noise)
         if step is None:
@@ -306,7 +295,7 @@ def pnp_solve(problem: PnPProblem, config: PnPSolverConfig | None = None,
         x, value, g, directions = step
         iterations += 1
 
-    if np.linalg.norm(g) <= config.gradient_tolerance:
+    if np.linalg.norm(g) <= tolerance:
         H = _hessian(s, points, x, directions)
         _check_finite(H, g)
         for _ in range(config.max_iterations - iterations):
@@ -326,7 +315,7 @@ def pnp_solve(problem: PnPProblem, config: PnPSolverConfig | None = None,
         value, g, _ = _value_and_gradient(w, s, points, x, active)
     gnorm = float(np.linalg.norm(g))
     return PnPSolution(pose=Pose.from_vector(x), objective_value=float(value),
-                       converged=gnorm <= config.gradient_tolerance,
+                       converged=gnorm <= tolerance,
                        gradient_norm=gnorm, iterations=iterations)
 
 
@@ -377,50 +366,63 @@ def _hessian(s, points, x, directions) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
-def _pair_products(problem: PnPProblem, x, z):
+def _linearize(problem: PnPProblem, solution: PnPSolution):
+    """Directions, pose Hessian H, its condition number and whether that
+    is singular, at a converged solution, for both backward entry points.
+    The directions cover the points that some pair refers to (all for
+    dense weights); such a point without weight has s_j = 0 and adds
+    exact zeros to H.  Fewer than 3 points with weight fix at most 4 of
+    the 6 pose coordinates: condition number inf."""
+    if not solution.converged:
+        raise ValidationError(
+            "solution did not converge; the implicit gradient is undefined "
+            f"(gradient norm {solution.gradient_norm:.3e})")
+    _, s, active = _collapse_weights(problem)
+    weights, points = problem.weights, problem.points
+    used = (np.bincount(weights.pairs[:, 1], minlength=len(points)) > 0
+            if isinstance(weights, SparseWeights)
+            else np.ones(len(points), dtype=bool))
+    x = solution.pose.canonical().as_vector()
+    directions = _directions(points, x, used)
+    H = _hessian(s, points, x, directions)
+    cond = float(np.linalg.cond(H)) if np.count_nonzero(active) >= 3 else np.inf
+    return directions, H, cond, not cond <= _MAX_CONDITION
+
+
+def _pair_products(problem: PnPProblem, directions, z):
     """f_i . C_j = -g_ij . z for every pair, from one 3-vector C_j per point.
 
     g_ij is the pose gradient of pair (i, j)'s residual 1 - f_i . u_j,
     and C_j = (a_j - (u_j . a_j) u_j) / |q_j| with a_j = J_j z =
-    (sum_k z_k dR[k]) p_j + z_t.  Returns the (m, n) product F C' for
-    dense weights, or a (k,) array aligned with the sparse pair list.
+    (sum_k z_k dR[k]) p_j + z_t, on the `_linearize` directions.  Returns
+    the (m, n) product F C' for dense weights, or a (k,) array aligned
+    with the sparse pair list.
     """
-    weights, points = problem.weights, problem.points
-    sparse = isinstance(weights, SparseWeights)
-    used = (np.bincount(weights.pairs[:, 1], minlength=len(points)) > 0
-            if sparse else np.ones(len(points), dtype=bool))
-    dR, u, nq = _directions(points, x, used)
-    a = points @ np.tensordot(z[:3], dR, axes=1).T + z[3:]
+    dR, u, nq = directions
+    a = problem.points @ np.tensordot(z[:3], dR, axes=1).T + z[3:]
     C = (a - np.sum(u * a, axis=1)[:, None] * u) / nq[:, None]
-    if sparse:
-        pairs = weights.pairs
+    if isinstance(problem.weights, SparseWeights):
+        pairs = problem.weights.pairs
         return np.sum(problem.bearings[pairs[:, 0]] * C[pairs[:, 1]], axis=1)
     return problem.bearings @ C.T
 
 
-def pnp_second_order(problem: PnPProblem, pose: Pose) -> SecondOrderData:
-    """Pose Hessian H and mixed-derivative rows B at a stationary pose.
+def pnp_second_order(problem: PnPProblem,
+                     solution: PnPSolution) -> SecondOrderData:
+    """Pose Hessian H and mixed-derivative rows B at a converged solution.
 
     B rows follow `pairs` order (the sparse pair list, or all m*n pairs
     row-major for dense weights: intended for small problems).  Column k
     of B is minus `_pair_products` at z = e_k, the same factor that
     `pnp_vjp` contracts.
     """
-    w, s, active = _collapse_weights(problem)
-    x = pose.canonical().as_vector()
-    _, g, directions = _value_and_gradient(w, s, problem.points, x, active)
-    gnorm = float(np.linalg.norm(g))
-    if gnorm > _STATIONARITY_TOL:
-        raise ValidationError(
-            f"pose is not stationary: |grad| = {gnorm:.3e} > {_STATIONARITY_TOL:.0e}")
-    H = _hessian(s, problem.points, x, directions)
+    directions, H, cond, singular = _linearize(problem, solution)
     if isinstance(problem.weights, SparseWeights):
         pairs = problem.weights.pairs
     else:
         pairs = np.indices(problem.shape).reshape(2, -1).T
-    B = -np.stack([_pair_products(problem, x, e).ravel() for e in np.eye(6)],
-                  axis=1)
-    cond, singular = _conditioning(H, active)
+    B = -np.stack([_pair_products(problem, directions, e).ravel()
+                   for e in np.eye(6)], axis=1)
     return SecondOrderData(H=H, B=B, pairs=pairs, condition_number=cond,
                            singular=singular)
 
@@ -434,16 +436,9 @@ def pnp_vjp(problem: PnPProblem, solution: PnPSolution, grad_pose):
     of `_pair_products` at z = inv(H) dL/dx.
     """
     grad_pose = np.asarray(grad_pose, dtype=np.float64).reshape(6)
-    if not solution.converged:
-        raise ValidationError(
-            "solution did not converge; the implicit gradient is undefined "
-            f"(gradient norm {solution.gradient_norm:.3e})")
-    w, s, active = _collapse_weights(problem)
-    x = solution.pose.canonical().as_vector()
-    H = _hessian(s, problem.points, x, _directions(problem.points, x, active))
-    cond, singular = _conditioning(H, active)
+    directions, H, cond, singular = _linearize(problem, solution)
     if singular:
         raise SingularHessianError(
             f"pose Hessian condition number {cond:.3e} exceeds {_MAX_CONDITION:.0e}",
             condition_number=cond)
-    return _pair_products(problem, x, np.linalg.solve(H, grad_pose))
+    return _pair_products(problem, directions, np.linalg.solve(H, grad_pose))

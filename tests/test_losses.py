@@ -85,6 +85,14 @@ class TestCorrespondenceLoss:
                 correspondence_loss(P, bearings, points, pose,
                                     1e-3, gt_pairs=pairs)
 
+    @pytest.mark.parametrize("pair", [[0, 12], [-1, 0]])
+    def test_out_of_range_gt_pair_rejected(self, rng, pair):
+        # a negative index would wrap and mark pair (9, 0) an inlier
+        pose, points, bearings, _ = gt_setup(rng)
+        with pytest.raises(ValidationError, match="gt pair"):
+            correspondence_loss(np.full((10, 10), 0.01), bearings, points,
+                                pose, 1e-3, gt_pairs=[pair])
+
     def test_wrong_shape_rejected(self, rng):
         # a (n,) row of total one would broadcast against the (m, n) signs
         pose, points, bearings, pairs = gt_setup(rng, n=3)

@@ -8,6 +8,7 @@ backward are checked against the complex-step and dense forms they
 replaced.
 """
 
+import itertools
 import signal
 
 import numpy as np
@@ -87,6 +88,33 @@ def concentrated_problem(rng, m=10, n=10, seed_pose=None, spread=0.4):
 TIGHT = PnPSolverConfig(gradient_tolerance=1e-10)
 
 
+def converged_at_init(problem):
+    """A converged solution at the problem's init, as the backward entry
+    points take it."""
+    return PnPSolution(pose=problem.init, objective_value=0.0, converged=True,
+                       gradient_norm=0.0, iterations=0)
+
+
+ENTRY_POINTS = {
+    "pnp_solve": pnp_solve,
+    "pnp_objective": lambda problem: pnp_objective(problem, problem.init),
+    "pnp_second_order": lambda problem: pnp_second_order(
+        problem, converged_at_init(problem)),
+    "pnp_vjp": lambda problem: pnp_vjp(problem, converged_at_init(problem),
+                                       np.ones(6)),
+}
+
+
+def on_every_entry_point(argnames, cases):
+    """Parametrize over `cases` and the four entry points, as `enter`.
+    pnp_solve runs under each case's own id ("nan-True"), the others
+    under that id and their name ("nan-True-pnp_vjp")."""
+    return pytest.mark.parametrize(argnames + ", enter", [
+        pytest.param(*case, enter, id="-".join(map(str, case))
+                     + ("" if name == "pnp_solve" else "-" + name))
+        for case in cases for name, enter in ENTRY_POINTS.items()])
+
+
 class TestObjective:
     def test_zero_at_perfect_alignment(self, rng):
         problem, pose = concentrated_problem(rng, spread=0.0)
@@ -107,7 +135,7 @@ class TestObjective:
         empty = PnPProblem(bearings=bearings, points=np.zeros((0, 3)),
                            weights=np.zeros((5, 0)), init=pose)
         assert pnp_objective(empty, pose)[0] == 0.0
-        assert pnp_solve(empty, check_normalization=False).converged
+        assert pnp_solve(empty).converged
 
     def test_value_bounded_by_twice_weight_sum(self, rng):
         problem, _ = concentrated_problem(rng)
@@ -261,31 +289,60 @@ class TestSolve:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
 
-    def test_normalization_validated_but_bypassable(self, rng):
-        problem, pose = concentrated_problem(rng)
-        doubled = PnPProblem(bearings=problem.bearings, points=problem.points,
-                             weights=np.asarray(problem.weights) * 2.0,
-                             init=pose)
-        with pytest.raises(ValidationError):
-            pnp_solve(doubled)
-        assert pnp_solve(doubled, check_normalization=False).converged
+    @settings(deadline=None, derandomize=True, database=None,
+              max_examples=30)
+    @given(st.data())
+    def test_scaled_weights_give_the_same_pose(self, data):
+        # the minimizer ignores the scale of the weights, and so does the
+        # stopping rule: a power of two commutes with every fp operation
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(6, 30))
+        pose = random_pose(rng)
+        points = rng.uniform(-0.5, 0.5, (n, 3))
+        bearings = exact_bearings(pose, points)
+        outliers = rng.uniform(size=n) < data.draw(st.sampled_from([0.0, 0.3]))
+        wrong = rng.standard_normal((n, 3)) + np.array([0.0, 0.0, 3.0])
+        bearings[outliers] = (wrong / np.linalg.norm(wrong, axis=1)[:, None]
+                              )[outliers]
+        P = rng.uniform(0.0, 0.3, (n, n)) * (rng.uniform(size=(n, n)) < 0.3)
+        P[np.arange(n), np.arange(n)] += 1.0
+        P /= P.sum()
+        pairs = np.argwhere(P > 0)
+        sparse = data.draw(st.booleans())
+        init = Pose(pose.r + 0.05 * rng.standard_normal(3),
+                    pose.t + 0.05 * rng.standard_normal(3))
 
-    @pytest.mark.parametrize("bad, check", [(np.nan, True), (np.nan, False),
-                                            (np.inf, False)])
-    def test_non_finite_dense_weights_rejected(self, rng, bad, check):
+        def solve(scale):
+            weights = (SparseWeights(pairs, scale * P[pairs[:, 0], pairs[:, 1]])
+                       if sparse else scale * P)
+            return pnp_solve(PnPProblem(bearings, points, weights, init))
+
+        base = solve(1.0)
+        twice = solve(2.0 ** data.draw(st.integers(-30, 30)))
+        assert twice.pose.as_vector().tobytes() == base.pose.as_vector().tobytes()
+        assert (twice.iterations, twice.converged) == (base.iterations,
+                                                       base.converged)
+        scaled = solve(data.draw(st.floats(1e-3, 1e3)))
+        np.testing.assert_allclose(scaled.pose.as_vector(),
+                                   base.pose.as_vector(), rtol=0, atol=1e-9)
+        assert scaled.converged == base.converged
+
+    @on_every_entry_point("bad, normalized", [
+        (np.nan, True), (np.nan, False), (np.inf, False)])
+    def test_non_finite_dense_weights_rejected(self, rng, bad, normalized,
+                                               enter):
         problem, pose = concentrated_problem(rng)
-        P = np.array(problem.weights)
+        P = np.array(problem.weights) * (1.0 if normalized else 3.0)
         P[2, 3] = bad
         broken = PnPProblem(bearings=problem.bearings, points=problem.points,
                             weights=P, init=pose)
         with pytest.raises(ValidationError):
-            pnp_solve(broken, check_normalization=check)
+            enter(broken)
 
-    @pytest.mark.parametrize("sparse", [False, True])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("where", ["bearing", "point"])
+    @on_every_entry_point("where, bad, sparse", itertools.product(
+        ["bearing", "point"], [np.nan, np.inf, -np.inf], [False, True]))
     def test_non_finite_bearing_or_point_rejected(self, rng, where, bad,
-                                                  sparse):
+                                                  sparse, enter):
         problem, pose = concentrated_problem(rng)
         bearings = np.array(problem.bearings)
         points = np.array(problem.points)
@@ -301,19 +358,30 @@ class TestSolve:
         broken = PnPProblem(bearings=bearings, points=points,
                             weights=weights, init=pose)
         with pytest.raises(ValidationError):
-            pnp_solve(broken)
+            enter(broken)
 
-    @pytest.mark.parametrize("check", [True, False])
-    def test_nan_sparse_weight_rejected(self, rng, check):
+    @on_every_entry_point("normalized", [(True,), (False,)])
+    def test_nan_sparse_weight_rejected(self, rng, normalized, enter):
         problem, pose = concentrated_problem(rng)
-        values = np.full(10, 0.1)
+        values = np.full(10, 0.1 if normalized else 0.3)
         values[4] = np.nan
         sparse = SparseWeights(pairs=np.stack([np.arange(10)] * 2, axis=1),
                                values=values)
         broken = PnPProblem(bearings=problem.bearings, points=problem.points,
                             weights=sparse, init=pose)
         with pytest.raises(ValidationError):
-            pnp_solve(broken, check_normalization=check)
+            enter(broken)
+
+    @on_every_entry_point("i, j", [(10, 0), (0, 10), (-1, 0), (0, -1)])
+    def test_out_of_range_sparse_pair_rejected(self, rng, i, j, enter):
+        # a negative index would wrap to the last bearing or point
+        problem, pose = concentrated_problem(rng)
+        pairs = np.vstack([np.stack([np.arange(10)] * 2, axis=1), [[i, j]]])
+        broken = PnPProblem(bearings=problem.bearings, points=problem.points,
+                            weights=SparseWeights(pairs, np.full(11, 1 / 11)),
+                            init=pose)
+        with pytest.raises(ValidationError, match="out of range"):
+            enter(broken)
 
     def test_sparse_and_dense_agree(self, rng):
         problem, pose = concentrated_problem(rng, m=8, n=8)
@@ -340,13 +408,13 @@ class TestSecondOrder:
         bearings = exact_bearings(pose, points)
         problem = PnPProblem(bearings=bearings, points=points,
                              weights=np.array([[1.0]]), init=pose)
-        data = pnp_second_order(problem, pose)
+        data = pnp_second_order(problem, pnp_solve(problem))
         assert data.singular
 
     def test_hessian_matches_fd_and_is_symmetric(self, rng):
         problem, _ = concentrated_problem(rng)
         solution = pnp_solve(problem, TIGHT)
-        data = pnp_second_order(problem, solution.pose)
+        data = pnp_second_order(problem, solution)
         assert np.max(np.abs(data.H - data.H.T)) <= 1e-9
         x = solution.pose.as_vector()
         h = 1e-6
@@ -377,7 +445,7 @@ class TestSecondOrder:
                                  points=problem.points, weights=weights,
                                  init=pose)
             solution = pnp_solve(problem, TIGHT)
-            data = pnp_second_order(problem, solution.pose)
+            data = pnp_second_order(problem, solution)
             np.testing.assert_array_equal(data.pairs, rows)
             for i, j in [(2, 4), (0, 0), (3, 3), (5, 1)]:
                 single = PnPProblem(bearings=problem.bearings,
@@ -390,10 +458,22 @@ class TestSecondOrder:
                 np.testing.assert_allclose(data.B[row[0]], grad, atol=1e-12)
 
     def test_non_stationary_pose_rejected(self, rng):
+        # a solve stopped by its step cap away from the optimum
         problem, pose = concentrated_problem(rng)
-        off = Pose(pose.r + 0.3, pose.t + 0.3)
+        off = PnPProblem(bearings=problem.bearings, points=problem.points,
+                         weights=problem.weights,
+                         init=Pose(pose.r + 0.3, pose.t + 0.3))
+        stopped = pnp_solve(off, PnPSolverConfig(max_iterations=0))
+        assert not stopped.converged
         with pytest.raises(ValidationError):
-            pnp_second_order(problem, off)
+            pnp_second_order(off, stopped)
+
+    def test_unconverged_solution_rejected(self, rng):
+        problem, pose = concentrated_problem(rng)
+        fake = PnPSolution(pose=pose, objective_value=1.0, converged=False,
+                           gradient_norm=1.0, iterations=0)
+        with pytest.raises(ValidationError):
+            pnp_second_order(problem, fake)
 
 
 def drawn_hessian_case(data):
@@ -520,7 +600,7 @@ class TestVJP:
                 Px[i, j] += sgn * d
                 pr = PnPProblem(problem.bearings, problem.points, Px,
                                 solution.pose)
-                sol = pnp_solve(pr, TIGHT, check_normalization=False)
+                sol = pnp_solve(pr, TIGHT)
                 assert sol.gradient_norm <= 1e-12
                 poses.append(sol.pose.as_vector())
             fd = g @ (poses[0] - poses[1]) / (2 * d)
@@ -589,7 +669,7 @@ class TestVJP:
                                       values=P[pairs[:, 0], pairs[:, 1]]),
                 init=problem.init)
         solution = pnp_solve(problem, TIGHT)
-        data = pnp_second_order(problem, solution.pose)
+        data = pnp_second_order(problem, solution)
         g = rng.standard_normal(6)
         want = -(data.B @ np.linalg.solve(data.H, g))
         got = pnp_vjp(problem, solution, g)
@@ -616,7 +696,7 @@ class TestVJP:
         out = pnp_vjp(problem, solution, rng.standard_normal(6))
         assert out.shape == (9,)
         assert np.all(np.isfinite(out))
-        assert pnp_second_order(problem, solution.pose).B.shape == (9, 6)
+        assert pnp_second_order(problem, solution).B.shape == (9, 6)
         # a listed pair on that point has no derivative, even at weight 0
         listed = PnPProblem(bearings, moved, SparseWeights(
             pairs=np.vstack([pairs, [[0, 9]]]),
@@ -652,7 +732,7 @@ class TestVJP:
         with pytest.raises(SingularHessianError) as err:
             pnp_vjp(problem, solution, rng.standard_normal(6))
         assert err.value.condition_number == np.inf
-        assert pnp_second_order(problem, solution.pose).singular
+        assert pnp_second_order(problem, solution).singular
 
 
 class TestSolverPathIndependence:
