@@ -343,7 +343,8 @@ def angular_reprojection_error(bearings, points, pairs, pose: Pose) -> float:
 
 
 def geodesic_rotation_angle(R, R_gt) -> float:
-    """Exact angle of the relative rotation (no clamp floor)."""
+    """Exact angle of the relative rotation (no clamp floor); reported by
+    `pipeline.pose_errors`, and the rotation term of `losses.pose_loss`."""
     R = validate_rotation_matrix(R)
     R_gt = validate_rotation_matrix(R_gt)
     return float(np.linalg.norm(log_so3(R_gt.T @ R)))

@@ -57,8 +57,15 @@ class PipelineConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
-        if not self.mu > 0:  # NaN fails too
-            raise ValidationError(f"mu must be positive, got {self.mu}")
+        for name, rule, ok in (
+                ("mu", "positive", self.mu > 0),
+                ("k_factor", "positive and finite", 0 < self.k_factor < np.inf),
+                ("sinkhorn_tol", "nonnegative", self.sinkhorn_tol >= 0),
+                ("sinkhorn_max_iterations", "nonnegative",
+                 self.sinkhorn_max_iterations >= 0)):
+            if not ok:  # NaN fails every test
+                raise ValidationError(
+                    f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -316,12 +316,13 @@ def _score_samples(cand: CandidateSet, fc: np.ndarray, pc: np.ndarray,
                    w: np.ndarray, sel: np.ndarray):
     """Hypotheses of a (B, 4) batch of candidate samples: three feed P3P,
     the fourth picks the solution of smallest angular residual.  Returns
-    each sample's inlier count (-1 when it forms no hypothesis: a repeated
-    bearing or point, a degenerate triple or no P3P solution), its inlier
-    weight under the weights w, and the chosen R (B, 3, 3) and t (B, 3)."""
+    each sample's inlier count (-1 when it forms no hypothesis: a bearing
+    or point repeated among all four, as such a probe fits every solution
+    alike; a degenerate triple; or no P3P solution), its inlier weight
+    under the weights w, and the chosen R (B, 3, 3) and t (B, 3)."""
     tri = sel[:, :3]
     rows = np.flatnonzero(np.all(
-        np.diff(np.sort(cand.pairs[tri], axis=1), axis=1) != 0, axis=(1, 2)))
+        np.diff(np.sort(cand.pairs[sel], axis=1), axis=1) != 0, axis=(1, 2)))
     R, t, ok = _p3p_batch(fc[tri[rows]], pc[tri[rows]])
     probe = sel[rows, 3]
     q = (R @ pc[probe, None, :, None])[..., 0] + t

@@ -250,6 +250,9 @@ def sinkhorn_forward(M, mu: float = 0.1, tol: float = 1e-9,
         raise ValidationError(f"entropy parameter mu must be positive, got {mu}")
     if not (tol >= 0):
         raise ValidationError(f"tolerance must be nonnegative, got {tol}")
+    if not (max_iterations >= 0):
+        raise ValidationError(
+            f"max_iterations must be nonnegative, got {max_iterations}")
     m, n = M.shape
     r, c = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
 

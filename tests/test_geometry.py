@@ -19,7 +19,7 @@ from blindpnp.geometry import (Pose, angular_reprojection_error,
                                make_intrinsics, pixels_to_bearings, ray_angles,
                                so3_exp_and_derivatives, transform_points,
                                translation_error)
-from blindpnp.losses import LossConfig, inlier_sign_matrix
+from blindpnp.losses import LossConfig, correspondence_loss
 from blindpnp.pose_solvers import CandidateSet
 from blindpnp.weighted_pnp import SparseWeights
 
@@ -345,7 +345,8 @@ class TestAngleThreshold:
                                                     theta),
             lambda theta: correspondences_from_pose(
                 bearings, points, pose, theta, pairs=[[0, 0], [1, 1]]),
-            lambda theta: inlier_sign_matrix(bearings, points, pose, theta),
+            lambda theta: correspondence_loss(np.full((6, 6), 1.0 / 36.0),
+                                              bearings, points, pose, theta),
         ]
 
     @pytest.mark.parametrize("theta", [0.0, -0.1, np.pi, 4.0, np.inf,

@@ -1,11 +1,17 @@
 """Correspondence and pose losses: exact derivative structure, bounds,
-and finite-difference checks away from the arccos singularities."""
+agreement with the reported errors, and finite-difference checks."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindpnp.errors import ValidationError
-from blindpnp.geometry import Pose
+from blindpnp.geometry import (Pose, exp_so3, geodesic_rotation_angle,
+                               log_so3, ray_angles, transform_points,
+                               translation_error)
 from blindpnp.losses import correspondence_loss, pose_loss
 from blindpnp.transport import sinkhorn_forward
 
@@ -100,15 +106,53 @@ class TestCorrespondenceLoss:
             correspondence_loss(np.full(3, 1.0 / 3.0), bearings, points, pose,
                                 1e-3, gt_pairs=pairs)
 
+    @pytest.mark.parametrize("branch", ["gt_pairs", "theta"])
+    def test_matches_the_sign_matrix_sum(self, rng, branch):
+        # the value is P's total less twice its inlier mass; against the
+        # sum of P times the sign matrix it may differ only by rounding
+        for n in (7, 60, 300):
+            pose, points, bearings, pairs = gt_setup(rng, n)
+            theta = 0.05
+            if branch == "gt_pairs":
+                mask = np.zeros((n, n), dtype=bool)
+                mask[pairs[:, 0], pairs[:, 1]] = True
+            else:
+                mask = ray_angles(bearings[:, None],
+                                  transform_points(pose, points)[None]) <= theta
+                assert n < mask.sum() < n * n  # more than the true pairs
+            P = sinkhorn_forward(rng.uniform(0, 1, (n, n)), mu=0.1).P
+            value, sign = correspondence_loss(
+                P, bearings, points, pose, theta,
+                gt_pairs=pairs if branch == "gt_pairs" else None)
+            assert sign.tobytes() == np.where(mask, -1.0, 1.0).tobytes()
+            assert abs(value - np.sum(P * sign)) <= 4 * np.spacing(1.0)
+
+    def test_peak_memory_is_one_plan_with_gt_pairs(self, rng):
+        n = 1000
+        pose, points, bearings, pairs = gt_setup(rng, n)
+        P = np.full((n, n), 1.0 / n**2)
+        # a first call allocates numpy's lazily built internals once
+        correspondence_loss(P, bearings, points, pose, 1e-3, gt_pairs=pairs)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            correspondence_loss(P, bearings, points, pose, 1e-3,
+                                gt_pairs=pairs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * P.nbytes
+
 
 class TestPoseLoss:
     def test_identical_poses_floor(self, rng):
+        # no clamp floor: identical poses are exactly zero apart
         pose = random_pose(rng)
         result = pose_loss(pose, pose)
         assert result.translation == 0.0
-        assert result.rotation <= 4.5e-4
-        assert result.total <= 4.5e-4
-        np.testing.assert_array_equal(result.grad[3:], np.zeros(3))
+        assert result.rotation == 0.0
+        assert result.total == 0.0
+        np.testing.assert_array_equal(result.grad, np.zeros(6))
 
     def test_quarter_turn_plus_two_units(self, rng):
         gt = Pose(np.zeros(3), np.zeros(3))
@@ -141,9 +185,60 @@ class TestPoseLoss:
                          - pose_loss(Pose.from_vector(xm), gt).total) / (2 * h)
             assert np.max(np.abs(grad - fd)) / np.max(np.abs(fd)) <= 1e-6
 
-    def test_clamped_region_has_zero_rotation_gradient(self, rng):
+    def test_identical_rotations_have_zero_rotation_gradient(self, rng):
         pose = random_pose(rng)
         shifted = Pose(pose.r, pose.t + np.array([0.0, 0.0, 0.5]))
         grad = pose_loss(shifted, pose).grad
         np.testing.assert_array_equal(grad[:3], np.zeros(3))
         assert np.linalg.norm(grad[3:]) > 0
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_terms_are_the_reported_errors(self, data):
+        # over relative angles from 1e-8 to just below pi: the rotation
+        # term is the geodesic error bit for bit, the translation term
+        # the translation error, and away from 0 and pi the gradient
+        # matches central differences
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        angle = data.draw(st.floats(1e-8, np.pi - 1e-6))
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        gt = Pose(rng.uniform(-3, 3, 3), rng.uniform(-1, 1, 3))
+        est = Pose(log_so3(gt.matrix() @ exp_so3(angle * axis)),
+                   rng.uniform(-1, 1, 3))
+        result = pose_loss(est, gt)
+        assert result.rotation == geodesic_rotation_angle(est.matrix(),
+                                                          gt.matrix())
+        assert result.translation == translation_error(est.t, gt.t)
+        if 0.01 <= angle <= np.pi - 0.01:
+            h = 1e-6
+            fd = np.zeros(6)
+            for k in range(6):
+                xp, xm = est.as_vector(), est.as_vector()
+                xp[k] += h
+                xm[k] -= h
+                fd[k] = (pose_loss(Pose.from_vector(xp), gt).total
+                         - pose_loss(Pose.from_vector(xm), gt).total) / (2 * h)
+            assert np.max(np.abs(result.grad - fd)) <= 1e-6
+
+    def test_micro_radian_error_is_resolved(self, rng):
+        # a pose 1e-6 rad off reads its own geodesic error, not a clamp
+        # floor of 4.5e-4, and its rotation gradient is the slope of the
+        # loss, measured by steps that stay small against the angle
+        gt = random_pose(rng)
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        est = Pose(gt.r + 1e-6 * axis, gt.t)
+        result = pose_loss(est, gt)
+        angle = geodesic_rotation_angle(est.matrix(), gt.matrix())
+        assert 5e-7 < result.rotation == angle < 2e-6
+        h = 1e-10
+        fd = np.zeros(3)
+        for k in range(3):
+            x = est.as_vector()
+            x[k] += h
+            fd[k] = (pose_loss(Pose.from_vector(x), gt).total
+                     - result.total) / h
+        assert np.linalg.norm(result.grad[:3]) > 0.1
+        assert np.max(np.abs(result.grad[:3] - fd)) <= 1e-3

@@ -71,10 +71,15 @@ class TestForward:
         with pytest.raises(ValidationError):
             solve(np.ones((9, 10)), inst, SEEDED)
 
-    @pytest.mark.parametrize("mu", [0.0, -0.1, np.nan])
-    def test_mu_must_be_positive(self, mu):
-        with pytest.raises(ValidationError, match="mu"):
-            PipelineConfig(mu=mu)
+    @pytest.mark.parametrize("field, value", [
+        *(pytest.param("mu", v, id=str(v)) for v in (0.0, -0.1, np.nan)),
+        ("k_factor", 0.0), ("k_factor", -1.5), ("k_factor", np.nan),
+        ("k_factor", np.inf), ("sinkhorn_tol", -1.0),
+        ("sinkhorn_tol", np.nan), ("sinkhorn_max_iterations", -3)])
+    def test_mu_must_be_positive(self, field, value):
+        # and every other setting outside its range is rejected on build
+        with pytest.raises(ValidationError, match=field):
+            PipelineConfig(**{field: value})
 
     def test_stage_errors_identify_stage(self):
         inst = noiseless_instance(n=10, seed=5)

@@ -318,6 +318,23 @@ class TestRansac:
         assert not est.found_pose
         assert est.inliers.shape[0] == 0
 
+    @pytest.mark.parametrize("shared", [[0, 3], [3, 0]])
+    def test_probe_repeating_a_bearing_or_point_forms_no_hypothesis(
+            self, rng, shared):
+        # four candidates, the last sharing bearing 0 or point 0 with the
+        # first: a sample's triple is valid only without one of the two,
+        # so its probe is then the other, which fits every P3P solution
+        # alike and cannot choose among them
+        points = rng.uniform(-0.5, 0.5, (4, 3))
+        bearings = exact_bearings(random_pose(rng), points)
+        cand = CandidateSet(pairs=[[0, 0], [1, 1], [2, 2], shared],
+                            weights=np.ones(4), bearings=bearings,
+                            points=points)
+        est = ransac_p3p(cand, RansacConfig(seed=0, max_iterations=50))
+        assert not est.found_pose
+        assert est.iterations_used == 50
+        assert est.inliers.shape[0] == 0
+
     @pytest.mark.parametrize("seed, wrong, pinned", [
         (0, 75, (61, 78, 76, 5700)),
         (1, 150, (317, 78, 75, 5550)),

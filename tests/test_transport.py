@@ -242,6 +242,8 @@ class TestForward:
             sinkhorn_forward(np.array([[np.inf, 1.0], [1.0, 1.0]]), mu=0.1)
         with pytest.raises(ValidationError, match="tolerance"):
             sinkhorn_forward(np.ones((2, 2)), mu=0.1, tol=-1.0)
+        with pytest.raises(ValidationError, match="max_iterations"):
+            sinkhorn_forward(np.ones((2, 2)), mu=0.1, max_iterations=-3)
         # the check runs per block of rows: a NaN in the last one, and
         # huge finite entries
         M = np.zeros((2, _EPILOGUE_BYTES // 8))
