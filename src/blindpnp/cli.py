@@ -255,10 +255,12 @@ def _instance_row(path: str, config: PipelineConfig, args, extend) -> dict:
 def _map_instances(paths, config: PipelineConfig, args,
                    extend=None) -> list[dict]:
     """Rows of the instance files in order, each solved and then passed
-    to `extend(row, instance, config, args)`; --jobs N uses N processes."""
+    to `extend(row, instance, config, args)`; --jobs N runs min(N,
+    instances) worker processes, or none when that is 1."""
     work = partial(_instance_row, config=config, args=args, extend=extend)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(paths))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(work, paths))
     return [work(path) for path in paths]
 
@@ -420,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("instances", nargs="+",
                    help="instance files or directories")
     s.add_argument("--out", default=_default_out())
-    s.add_argument("--jobs", type=int, default=1)
+    s.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most one per instance")
     _add_cost_flags(s)
     _add_pipeline_flags(s)
     s.set_defaults(func=cmd_solve)
@@ -429,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="quartile/recall tables over a dataset")
     b.add_argument("--dataset", required=True)
     b.add_argument("--out", default=_default_out())
-    b.add_argument("--jobs", type=int, default=1)
+    b.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most one per instance")
     b.add_argument("--thresholds", default="5,10,15",
                    help="rotation recall thresholds in degrees")
     b.add_argument("--theta", type=float, default=INLIER_THRESHOLD,

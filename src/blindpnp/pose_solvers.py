@@ -292,7 +292,6 @@ class RobustEstimate:
     inliers: np.ndarray          # one-to-one (k, 2) pairs
     iterations_used: int
     found_pose: bool             # False when no hypothesis scored any inlier
-    hypothesis_count: int = 0    # inliers of the best minimal hypothesis
 
     @property
     def low_inlier(self) -> bool:
@@ -433,5 +432,4 @@ def ransac_p3p(candidates: CandidateSet, config: RansacConfig) -> RobustEstimate
         Pose(log_so3(best[0]), best[1]), INLIER_THRESHOLD, _REFITS,
         candidates.pairs)
     return RobustEstimate(pose=pose, inliers=inliers, iterations_used=it,
-                          found_pose=best_count > 0,
-                          hypothesis_count=best_count)
+                          found_pose=best_count > 0)

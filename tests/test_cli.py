@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from blindpnp import cli
 from blindpnp.cli import main
 from blindpnp.pipeline import PipelineConfig, pose_errors, solve
 from blindpnp.synth import load_instance, oracle_cost
@@ -143,6 +144,34 @@ class TestSolve:
                         "--jobs", jobs]) == 1
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()  # rejected before any instance was solved
+
+    def test_jobs_capped_at_instance_count(self, dataset, tmp_path,
+                                           monkeypatch):
+        # the pool forks every worker at its first task, so --jobs 64
+        # asks for one worker per instance, and one instance runs serially
+        workers = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        one = sorted(dataset.glob("instance_*.txt"))[0]
+        for where in (dataset, one):
+            assert run_cli(["solve", str(where), "--out",
+                            str(tmp_path / where.name), "--jobs", "64"]) == 0
+        assert workers == [3]
+        assert len((tmp_path / one.name / "solve.csv").read_text()
+                   .splitlines()) == 3  # schema, header, one row
 
     def test_jobs_parallelism_matches_serial(self, dataset, tmp_path):
         # result columns must agree bit-for-bit; the wall-clock column is

@@ -6,6 +6,7 @@ differences and an extended-precision solve of the full KKT system.
 
 import itertools
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -54,12 +55,16 @@ def reference_plan(M, mu, K, phi, psi, u, v):
     return P
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def reference_scaling(M, mu, tol=1e-9, max_iterations=10000):
     """The plain stabilized scaling loop that over-relaxation replaced:
-    u = r / Kv, v = c / K'u, with the same log-sum-exp and absorption
-    fallbacks, stopped on the row residual alone (after a plain
-    v-update the columns match c).  Returns (K, phi, psi, u, v,
-    iterations), the state that the final plan is formed from."""
+    u = r / Kv, v = c / K'u, with its log-sum-exp fallback and its
+    in-loop absorption of scalings past _ABSORB_MAX into the
+    potentials, which the library's loop replaced by the log-sum-exp
+    step; kept here as the plain-loop reference.  Stopped on the row
+    residual alone (after a plain v-update the columns match c).
+    Returns (K, phi, psi, u, v, iterations), the state that the final
+    plan is formed from."""
     m, n = M.shape
     r, c = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
     logK0 = -M / mu
@@ -252,6 +257,25 @@ class TestForward:
             sinkhorn_forward(M, mu=0.1)
         plan = sinkhorn_forward(np.full((3, 4), 1e308), mu=1e308)
         assert plan.converged and np.all(plan.P == plan.P[0, 0])
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    @pytest.mark.parametrize("anneal", [False, True])
+    def test_no_floating_point_warning(self, oracle, anneal):
+        # M / -mu overflows in the kernel and again in the final plan's
+        # exp form; the oracle cost (noise 0.988 makes negative entries)
+        # overflows the kernel at mu 0.00359
+        if oracle:
+            inst = generate_instance(SynthConfig(n_points=57, seed=191721757))
+            M = oracle_cost(inst, 0.658, noise_sigma=0.988, seed=189845671)
+            mu = 0.00359
+        else:
+            M, mu = np.array([[1e306, 0.0], [0.0, 1e306]]), 0.001
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = sinkhorn_forward(M, mu=mu, max_iterations=200,
+                                    anneal=anneal)
+        assert np.all(np.isfinite(plan.P))
+        assert plan.converged or oracle
 
     def test_peak_memory_is_one_plan(self):
         # the kernel is built in the plan's buffer and scaled into the
@@ -477,6 +501,40 @@ class TestOverRelaxation:
         assert want.converged
         assert np.max(np.abs(plan.P - want.P)) <= 2.0 * tol
 
+    @pytest.mark.parametrize("cause", ["kernel overflows",
+                                       "scaling out of range"])
+    def test_each_cause_takes_the_log_sum_exp_step(self, monkeypatch, cause):
+        # an infinite kernel entry makes K v infinite; a row offset by
+        # 322 mu keeps the kernel normal (about 1e-140) but asks for a row
+        # scaling past _ABSORB_MAX.  Both fail the one range test, and
+        # the exact step runs where the loop once absorbed the scalings
+        if cause == "kernel overflows":
+            M, mu = np.array([[-8.0, 0.0], [0.0, -8.0]]), 0.01
+            assert -M.min() / mu > np.log(np.finfo(np.float64).max)
+        else:
+            mu = 0.1
+            M = np.random.default_rng(4).uniform(0.0, 1.0, (30, 20))
+            M[0] += 322.0 * mu
+            K = np.exp(-M / mu)
+            assert K.min() >= TINY
+            assert (1.0 / 30.0) / K[0].sum() > _ABSORB_MAX
+        calls = []
+
+        def spy(A):
+            calls.append(A.shape)
+            return _logsumexp_rows(A)
+
+        monkeypatch.setattr(transport, "_logsumexp_rows", spy)
+        tol = 1e-9
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = sinkhorn_forward(M, mu=mu, tol=tol)
+        assert calls  # the log-sum-exp step ran
+        assert plan.converged and marginal_residual(plan.P) <= tol
+        want = reference_sinkhorn(M, mu, tol=tol)
+        assert want.converged
+        assert np.max(np.abs(plan.P - want.P)) <= 2.0 * tol
+
     @settings(deadline=None, derandomize=True, database=None, max_examples=60)
     @given(n=st.integers(2, 60), sharpness=st.floats(0.5, 8.0),
            mu=st.floats(0.02, 0.5), noise=st.sampled_from([0.0, 0.3, 1.0]),
@@ -494,6 +552,30 @@ class TestOverRelaxation:
         if want.converged:
             assert plan.converged
             assert np.max(np.abs(plan.P - want.P)) <= 2.0 * tol
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=40)
+    @given(n=st.integers(2, 40), sharpness=st.floats(0.5, 8.0),
+           mu=st.floats(0.001, 0.05), noise=st.sampled_from([0.3, 1.0]),
+           outliers=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 999))
+    def test_small_mu_plan_is_the_plain_loops_plan(self, n, sharpness, mu,
+                                                   noise, outliers, seed):
+        # cost noise makes negative entries, so the kernel overflows at
+        # small mu and the log-sum-exp step runs.  Whether the loop
+        # converges where the plain loop does is not asserted here: near
+        # the cap, oscillating omega can lose a plan the plain loop keeps
+        inst = generate_instance(SynthConfig(n_points=n, seed=seed,
+                                             outlier_fraction=outliers))
+        M = oracle_cost(inst, sharpness, noise_sigma=noise, seed=seed)
+        tol = 1e-9
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = sinkhorn_forward(M, mu=mu, tol=tol)
+        assert np.all(np.isfinite(plan.P)) and np.all(plan.P >= 0.0)
+        if plan.converged:
+            assert marginal_residual(plan.P) <= tol
+            want = reference_sinkhorn(M, mu, tol=tol)
+            if want.converged:
+                assert np.max(np.abs(plan.P - want.P)) <= 2.0 * tol
 
 
 class TestBackward:
