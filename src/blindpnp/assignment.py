@@ -121,11 +121,10 @@ def one_to_one(pairs, costs) -> np.ndarray:
     if costs.shape[0] != pairs.shape[0]:
         raise ValidationError(
             f"{pairs.shape[0]} pairs but {costs.shape[0]} costs")
-    _, ri, row_uses = np.unique(pairs[:, 0], return_inverse=True,
-                                return_counts=True)
-    _, ci, col_uses = np.unique(pairs[:, 1], return_inverse=True,
-                                return_counts=True)
-    free = (row_uses[ri] == 1) & (col_uses[ci] == 1)
+    free = np.ones(pairs.shape[0], dtype=bool)
+    for labels in pairs.T:  # uses of each row, then each column, label
+        labels = labels - labels.min(initial=0)  # bincount takes labels >= 0
+        free &= np.bincount(labels)[labels] == 1
     kept = pairs[free]
     if not free.all():
         shared = pairs[~free]

@@ -8,6 +8,9 @@ Conventions used throughout the library:
   ``R(r) @ p + t``,
 * a bearing vector is the unit ray through an image point,
   proportional to ``inv(K) @ [u, v, 1]``,
+* R and its first and second derivatives come from one closed-form
+  kernel, `so3_exp_and_derivatives`, holomorphic in r so that complex
+  steps differentiate through it,
 * every angle between a bearing and a transformed scene point comes
   from `ray_angles`, one exact arctan2 measure, so inlier tests and
   reported errors agree bit for bit.
@@ -15,6 +18,7 @@ Conventions used throughout the library:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -22,8 +26,10 @@ import numpy as np
 
 from .errors import ValidationError
 
-# ||r||^2 below this uses the Taylor branch of the exponential map.
-_SMALL_ANGLE_SQ = 1e-4
+# ||r||^2 below this takes _TAYLOR_TERMS terms of the series (truncated
+# under 1e-17); above, cancellation costs d2R at most ~16 ulps.
+_SMALL_ANGLE_SQ = 1.0
+_TAYLOR_TERMS = 12
 _ROTATION_TOL = 1e-6  # max |R'R - I| of a matrix taken as a rotation
 
 
@@ -74,34 +80,42 @@ def skew(v) -> np.ndarray:
     return np.array([[z, -v[2], v[1]], [v[2], z, -v[0]], [-v[1], v[0], z]])
 
 
-_SKEW_BASIS = np.array([skew(e) for e in np.eye(3)])  # E_k = skew(e_k)
+_EYE3 = np.eye(3)
+_SKEW_BASIS = np.array([skew(e) for e in _EYE3])  # E_k = skew(e_k)
+# A_k = E_k S + S E_k = e_k r' + r e_k' - 2 r_k I is linear in r: r @ this
+_ANTI_BASIS = (np.einsum("ka,ib->ikab", _EYE3, _EYE3)
+               + np.einsum("ia,kb->ikab", _EYE3, _EYE3)
+               - 2.0 * np.einsum("ik,ab->ikab", _EYE3, _EYE3)).reshape(3, 27)
+
+
+# rows: the coefficients of a, b, c1, c2, e1, e2 (see `_rodrigues_coeffs`)
+# in powers of sq; each pair is twice the sq-derivative of the one before
+_SERIES = [np.array([[(-1) ** j / math.factorial(2 * j + i)
+                      for j in range(_TAYLOR_TERMS + 2)] for i in (1, 2)])]
+for _ in range(2):
+    _SERIES.append(2 * np.arange(1, _SERIES[-1].shape[1]) * _SERIES[-1][:, 1:])
+_SERIES = np.vstack([c[:, :_TAYLOR_TERMS] for c in _SERIES])
+_POWERS = np.arange(_TAYLOR_TERMS)
 
 
 def _rodrigues_coeffs(sq):
-    """Coefficient functions of the Rodrigues formula and its derivative.
+    """Coefficient functions of the Rodrigues formula and its derivatives.
 
-    Returns (a, b, c1, c2) where, with theta = sqrt(sq),
-
-        R        = I + a*S + b*S^2,            S = skew(r)
-        dR/dr_k  = c1*r_k*S + a*E_k + c2*r_k*S^2 + b*(E_k S + S E_k)
-
-    All four are entire functions of sq = theta^2, so the Taylor branch
-    keeps them holomorphic (safe under complex-step differentiation) and
-    avoids 0/0 at the identity.
+    Returns (a, b, c1, c2, e1, e2): a = sin(theta) / theta and b = (1 -
+    cos(theta)) / sq at theta = sqrt(sq), then twice the sq-derivative
+    of a, b, c1 and c2 in turn, so that da/dr_k = c1 r_k, dc1/dr_k = e1
+    r_k, and so for b.  All six are entire functions of sq, so the
+    Taylor branch keeps them holomorphic (safe under complex-step
+    differentiation) and avoids 0/0 at the identity.
     """
     if np.real(sq) < _SMALL_ANGLE_SQ:
-        a = 1.0 - sq / 6.0 + sq * sq / 120.0 - sq**3 / 5040.0
-        b = 0.5 - sq / 24.0 + sq * sq / 720.0 - sq**3 / 40320.0
-        c1 = -1.0 / 3.0 + sq / 30.0 - sq * sq / 840.0 + sq**3 / 45360.0
-        c2 = -1.0 / 12.0 + sq / 180.0 - sq * sq / 6720.0 + sq**3 / 453600.0
-    else:
-        theta = np.sqrt(sq)
-        s, c = np.sin(theta), np.cos(theta)
-        a = s / theta
-        b = (1.0 - c) / sq
-        c1 = (theta * c - s) / (sq * theta)
-        c2 = (theta * s - 2.0 * (1.0 - c)) / (sq * sq)
-    return a, b, c1, c2
+        return _SERIES @ sq ** _POWERS
+    theta = np.sqrt(sq)
+    a = np.sin(theta) / theta
+    b = (1.0 - np.cos(theta)) / sq
+    c1 = (np.cos(theta) - a) / sq
+    c2 = (a - 2.0 * b) / sq
+    return a, b, c1, c2, -(a + 3.0 * c1) / sq, (c1 - 4.0 * c2) / sq
 
 
 def exp_so3(r) -> np.ndarray:
@@ -116,21 +130,39 @@ def exp_so3(r) -> np.ndarray:
     return so3_exp_and_derivatives(r)[0]
 
 
-def so3_exp_and_derivatives(r):
-    """Rotation matrix R plus the stack dR[k] = dR/dr_k, shape (3, 3, 3).
+def so3_exp_and_derivatives(r, second: bool = False):
+    """Rotation matrix R, the stack dR[k] = dR/dr_k of shape (3, 3, 3),
+    and with `second` the stack d2R[k, l] = d2R/dr_k dr_l, (3, 3, 3, 3).
 
-    Complex-step safe: all branches are holomorphic in r.
+    With S = skew(r), S^2 = r r' - |r|^2 I and A_k = E_k S + S E_k =
+    e_k r' + r e_k' - 2 r_k I, in the coefficients of `_rodrigues_coeffs`:
+
+        R          = I + a S + b S^2
+        dR[k]      = r_k (c1 S + c2 S^2) + a E_k + b A_k
+        d2R[k, l]  = delta_kl (c1 S + c2 S^2) + r_k r_l (e1 S + e2 S^2)
+                     + r_k (c1 E_l + c2 A_l) + r_l (c1 E_k + c2 A_k)
+                     + b (e_k e_l' + e_l e_k' - 2 delta_kl I)
+
+    (Gallego and Yezzi, JMIV 2015, give the compact form of dR.)  All
+    branches are holomorphic: complex steps differentiate through it.
     """
     r = np.asarray(r)
     sq = r @ r
-    a, b, c1, c2 = _rodrigues_coeffs(sq)
-    S = skew(r)
-    S2 = S @ S
-    R = np.eye(3, dtype=S.dtype) + a * S + b * S2
-    rk = r[:, None, None]
-    dR = (c1 * rk * S + a * _SKEW_BASIS + c2 * rk * S2
-          + b * (_SKEW_BASIS @ S + S @ _SKEW_BASIS))
-    return R, dR
+    a, b, c1, c2, e1, e2 = _rodrigues_coeffs(sq)
+    S = (r @ _SKEW_BASIS.reshape(3, 9)).reshape(3, 3)
+    rr = r[:, None] * r
+    S2 = rr - sq * _EYE3
+    A = (r @ _ANTI_BASIS).reshape(3, 3, 3)
+    M1 = c1 * S + c2 * S2
+    R = _EYE3 + a * S + b * S2
+    dR = r[:, None, None] * M1 + a * _SKEW_BASIS + b * A
+    if not second:
+        return R, dR
+    X = r[:, None, None, None] * (c1 * _SKEW_BASIS + c2 * A)  # r_k X_l
+    d2R = (_EYE3[:, :, None, None] * M1
+           + rr[:, :, None, None] * (e1 * S + e2 * S2)
+           + X + X.transpose(1, 0, 2, 3) + b * _ANTI_BASIS.reshape(3, 3, 3, 3))
+    return R, dR, d2R
 
 
 def _quaternion_from_matrix(R: np.ndarray) -> np.ndarray:

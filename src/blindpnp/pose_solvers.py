@@ -25,7 +25,7 @@ import numpy as np
 
 from .assignment import correspondences_from_pose
 from .errors import DegenerateGeometryError, NumericalError, ValidationError
-from .geometry import (INLIER_THRESHOLD, Pose, _pairs_array,
+from .geometry import (INLIER_THRESHOLD, Pose, _dot3, _pairs_array,
                        check_bearings_and_points, check_pairs_in_range,
                        log_so3, ray_angles)
 from .weighted_pnp import PnPProblem, PnPSolverConfig, SparseWeights, pnp_solve
@@ -33,6 +33,7 @@ from .weighted_pnp import PnPProblem, PnPSolverConfig, SparseWeights, pnp_solve
 _COLLINEAR_DIST = 1e-9
 _COLLINEAR_AREA = 1e-12
 _EDGES = (np.array([0, 0, 1]), np.array([1, 2, 2]))  # point pairs ab, ac, bc
+_JAC_I, _JAC_J = (3 * np.arange(3) + e for e in _EDGES)  # flat (edge, point)
 _NEWTON_STEPS = 8
 _FLOOR_ULPS = 4  # depth polish: the rounding floor, in ulps of the terms
 # RANSAC batches double from _FIRST_BATCH up to _BATCH.  First batches of
@@ -48,23 +49,25 @@ _CONFIDENCE = 0.99  # of the stopping bound on the sample count
 def _rigid_align(world: np.ndarray, camera: np.ndarray):
     """Least-squares rigid transforms with R @ world + t ~= camera (Kabsch),
     over leading batch dimensions: R (..., 3, 3) and t (..., 3)."""
-    wc, cc = world.mean(axis=-2), camera.mean(axis=-2)
+    k = world.shape[-2]  # the sums over k, divided: the bits of mean()
+    wc, cc = world.sum(axis=-2) / k, camera.sum(axis=-2) / k
     S = np.swapaxes(camera - cc[..., None, :], -1, -2) @ (world - wc[..., None, :])
     U, _, Vt = np.linalg.svd(S)
-    D = np.broadcast_to(np.eye(3), S.shape).copy()
-    D[..., 2, 2] = np.linalg.det(U @ Vt)
-    R = U @ D @ Vt
+    U[..., 2] *= np.linalg.det(U @ Vt)[..., None]  # U diag(1, 1, det), exactly
+    R = U @ Vt
     return R, cc - (R @ wc[..., None])[..., 0]
 
 
 def _minimal_degeneracy(p: np.ndarray):
-    """Masks of the (..., 3, 3) point triples that are coincident or collinear."""
-    i, j = _EDGES
-    dist = np.linalg.norm(p[..., i, :] - p[..., j, :], axis=-1)
+    """Edge lengths ab, ac, bc (..., 3) of (..., 3, 3) point triples, with
+    the bits of np.linalg.norm, and the masks of the triples that are
+    coincident or collinear."""
+    d = p.take(_EDGES[0], axis=-2) - p.take(_EDGES[1], axis=-2)
+    dist = np.sqrt(_dot3(d, d))
     coincident = dist.min(axis=-1) <= _COLLINEAR_DIST
     area = 0.5 * np.linalg.norm(np.cross(p[..., 1, :] - p[..., 0, :],
                                          p[..., 2, :] - p[..., 0, :]), axis=-1)
-    return coincident, ~coincident & (area <= _COLLINEAR_AREA)
+    return dist, coincident, ~coincident & (area <= _COLLINEAR_AREA)
 
 
 def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -78,13 +81,13 @@ def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _law_of_cosines(s, cos, target):
     """Residuals s_i^2 + s_j^2 - 2 s_i s_j cos_ij - d_ij^2 over the three
     edges of a (c, 3) stack of depths, and their (c, 3, 3) Jacobian."""
-    i, j = _EDGES
-    si, sj = s[:, i], s[:, j]
-    F = si * si + sj * sj - 2.0 * si * sj * cos - target
-    J = np.zeros(s.shape + (3,))
-    J[:, [0, 1, 2], i] = 2.0 * si - 2.0 * sj * cos
-    J[:, [0, 1, 2], j] = 2.0 * sj - 2.0 * si * cos
-    return F, J
+    si, sj = s.take(_EDGES[0], axis=1), s.take(_EDGES[1], axis=1)
+    two_si, two_sj = 2.0 * si, 2.0 * sj
+    F = si * si + sj * sj - two_si * sj * cos - target
+    J = np.zeros((s.shape[0], 9))
+    J[:, _JAC_I] = two_si - two_sj * cos   # d/ds_i of edge (i, j)'s residual
+    J[:, _JAC_J] = two_sj - two_si * cos
+    return F, J.reshape(-1, 3, 3)
 
 
 def _polish_depths(s, cos, target):
@@ -94,38 +97,43 @@ def _polish_depths(s, cos, target):
     at a singular Jacobian, after _NEWTON_STEPS, or once a step fails to
     shrink a residual already below 1e-9 of its largest target, where
     `_p3p_batch` accepts a root; that step is not taken.  Farther out
-    every step is taken, as Newton may climb before it converges."""
+    every step is taken, as Newton may climb before it converges.  The
+    rows still stepping are carried along, gathered once a step."""
     s = s.copy()
     F, J = _law_of_cosines(s, cos, target)
-    resid = np.max(np.abs(F), axis=1)
-    i, j = _EDGES
-    terms = s[:, i] ** 2 + s[:, j] ** 2 + 2.0 * np.abs(s[:, i] * s[:, j] * cos)
-    floor = _FLOOR_ULPS * np.finfo(float).eps * np.max(terms + target, axis=1)
-    settled = 1e-9 * target.max(axis=1)
-    active = np.arange(s.shape[0])
+    resid = np.abs(F).max(axis=1)
+    si, sj = s.take(_EDGES[0], axis=1), s.take(_EDGES[1], axis=1)
+    terms = si ** 2 + sj ** 2 + 2.0 * np.abs(si * sj * cos)
+    floor = _FLOOR_ULPS * np.finfo(float).eps * (terms + target).max(axis=1)
+    # per row: the floor, and 1e-9 of the largest target (a root's bound)
+    limits = np.stack([floor, 1e-9 * target.max(axis=1)], axis=1)
+    rows = (resid > floor).nonzero()[0]
+    s_a, F_a, J_a, r_a, cos_a, target_a, lim_a = (
+        a.take(rows, axis=0) for a in (s, F, J, resid, cos, target, limits))
     for _ in range(_NEWTON_STEPS):
-        active = active[resid[active] > floor[active]]
-        if active.size == 0:
+        if rows.size == 0:
             break
-        solved = np.ones(active.size, dtype=bool)
+        solved = True
         try:
-            step = np.linalg.solve(J[active], F[active, :, None])[..., 0]
+            step = np.linalg.solve(J_a, F_a[:, :, None])[..., 0]
         except np.linalg.LinAlgError:  # a singular row: solve row by row
-            step = np.zeros((active.size, 3))
-            for r, a in enumerate(active):
+            step = np.zeros((rows.size, 3))
+            solved = np.ones(rows.size, dtype=bool)
+            for r in range(rows.size):
                 try:
-                    step[r] = np.linalg.solve(J[a], F[a])
+                    step[r] = np.linalg.solve(J_a[r], F_a[r])
                 except np.linalg.LinAlgError:
                     solved[r] = False
-        trial = s[active] - step
-        F_new, J_new = _law_of_cosines(trial, cos[active], target[active])
-        resid_new = np.max(np.abs(F_new), axis=1)
-        better = solved & ((resid_new < resid[active])
-                           | (resid[active] > settled[active]))
-        active = active[better]
-        s[active], F[active], J[active] = (trial[better], F_new[better],
-                                           J_new[better])
-        resid[active] = resid_new[better]
+        s_a = s_a - step
+        F_a, J_a = _law_of_cosines(s_a, cos_a, target_a)
+        r_new = np.abs(F_a).max(axis=1)
+        better = solved & ((r_new < r_a) | (r_a > lim_a[:, 1]))
+        taken = better.nonzero()[0]
+        s[rows[taken]], resid[rows[taken]] = s_a[taken], r_new[taken]
+        go = (better & (r_new > lim_a[:, 0])).nonzero()[0]
+        rows, s_a, F_a, J_a, r_a, cos_a, target_a, lim_a = (
+            a.take(go, axis=0)
+            for a in (rows, s_a, F_a, J_a, r_new, cos_a, target_a, lim_a))
     return s, resid
 
 
@@ -139,9 +147,8 @@ def _p3p_batch(f: np.ndarray, p: np.ndarray):
     rows and candidates independently, so no row depends on the others.
     """
     B = f.shape[0]
-    i, j = _EDGES
-    cos = np.sum(f[:, i] * f[:, j], axis=-1)             # ab, ac, bc
-    dist = np.linalg.norm(p[:, i] - p[:, j], axis=-1)
+    cos = _dot3(f.take(_EDGES[0], axis=1), f.take(_EDGES[1], axis=1))  # ab, ac, bc
+    dist, coincident, collinear = _minimal_degeneracy(p)
     cos_ab, cos_ac, cos_bc = cos.T[:, :, None]
     d_ab, d_ac, d_bc = dist.T[:, :, None]
 
@@ -166,8 +173,8 @@ def _p3p_batch(f: np.ndarray, p: np.ndarray):
 
     # the roots are the eigenvalues of the companion matrix, as in np.roots,
     # which handles the rows with a zero first or last coefficient itself
-    q = quartic / np.max(np.abs(quartic), axis=1, keepdims=True)
-    usable = np.all(np.isfinite(q), axis=1) & ~np.any(_minimal_degeneracy(p), 0)
+    q = quartic / np.abs(quartic).max(axis=1, keepdims=True)
+    usable = np.isfinite(q).all(axis=1) & ~(coincident | collinear)
     full = usable & (q[:, 0] != 0) & (q[:, 4] != 0)
     companion = np.repeat(np.eye(4, k=-1)[None], np.count_nonzero(full), 0)
     companion[:, 0] = -q[full, 1:] / q[full, :1]
@@ -191,22 +198,24 @@ def _p3p_batch(f: np.ndarray, p: np.ndarray):
     tried = np.stack([disc >= 0, disc >= 0, np.abs(denom) > 1e-9], axis=2)
     tried &= (real & (v > 0) & (base_v > 0))[:, :, None]
     row, slot = np.nonzero(tried.reshape(B, 12) & (u > 0))
-    s1 = d_ac / np.sqrt(base_v)
-    s = s1[row, slot // 3, None] * np.stack(
-        [np.ones(row.size), u[row, slot], v[row, slot // 3]], axis=1)
+    root = slot // 3
+    s = (d_ac / np.sqrt(base_v))[row, root, None] * np.stack(
+        [np.ones(row.size), u[row, slot], v[row, root]], axis=1)
     s, resid = _polish_depths(s, cos[row], dist[row] ** 2)
     good = np.zeros((B, 12), dtype=bool)
-    good[row, slot] = np.all(s > 0, axis=1) & (resid <= 1e-9 * dist[row].max(1) ** 2)
+    good[row, slot] = (s > 0).all(axis=1) & (resid <= 1e-9 * dist[row].max(1) ** 2)
     depths = np.full((3, B, 12), np.nan)  # depth axis first: fast maxima over it
     depths[:, row, slot] = s.T
 
     # keep the first four solutions that differ from every one kept before
-    close = (np.max(np.abs(depths[:, :, :, None] - depths[:, :, None]), axis=0)
-             < 1e-9 * np.max(depths, axis=0)[:, :, None])
+    close = (np.abs(depths[:, :, :, None] - depths[:, :, None]).max(axis=0)
+             < 1e-9 * depths.max(axis=0)[:, :, None])
     ok = np.zeros((B, 12), dtype=bool)
-    for c in range(12):
-        ok[:, c] = (good[:, c] & ~np.any(ok[:, :c] & close[:, c, :c], axis=1)
-                    & (np.count_nonzero(ok[:, :c], axis=1) < 4))
+    kept = np.zeros(B, dtype=int)
+    for c in np.flatnonzero(good.any(axis=0)):
+        ok[:, c] = (good[:, c] & ~(ok[:, :c] & close[:, c, :c]).any(axis=1)
+                    & (kept < 4))
+        kept += ok[:, c]
     row, slot = np.nonzero(ok)
     R, t = np.full((B, 12, 3, 3), np.nan), np.full((B, 12, 3), np.nan)
     R[row, slot], t[row, slot] = _rigid_align(
@@ -228,7 +237,7 @@ def p3p(bearings, points) -> list[Pose]:
     if f.shape != (3, 3) or p.shape != (3, 3):
         raise ValidationError("p3p expects three bearings and three points")
     check_bearings_and_points(f, p)
-    coincident, collinear = _minimal_degeneracy(p)
+    _, coincident, collinear = _minimal_degeneracy(p)
     if coincident:
         raise DegenerateGeometryError("three-point set has coincident points")
     if collinear:
@@ -320,8 +329,8 @@ def _score_samples(cand: CandidateSet, fc: np.ndarray, pc: np.ndarray,
     alike; a degenerate triple; or no P3P solution), its inlier weight
     under the weights w, and the chosen R (B, 3, 3) and t (B, 3)."""
     tri = sel[:, :3]
-    rows = np.flatnonzero(np.all(
-        np.diff(np.sort(cand.pairs[sel], axis=1), axis=1) != 0, axis=(1, 2)))
+    drawn = np.sort(cand.pairs[sel], axis=1)
+    rows = (drawn[:, 1:] != drawn[:, :-1]).all(axis=(1, 2)).nonzero()[0]
     R, t, ok = _p3p_batch(fc[tri[rows]], pc[tri[rows]])
     probe = sel[rows, 3]
     q = (R @ pc[probe, None, :, None])[..., 0] + t
@@ -331,8 +340,10 @@ def _score_samples(cand: CandidateSet, fc: np.ndarray, pc: np.ndarray,
     counts, mass = np.full(sel.shape[0], -1), np.zeros(sel.shape[0])
     R_best, t_best = np.zeros((sel.shape[0], 3, 3)), np.zeros((sel.shape[0], 3))
     R_best[rows], t_best[rows] = R[formed, pick], t[formed, pick]
-    q = pc @ np.swapaxes(R_best[rows], -1, -2) + t_best[rows, None, :]
-    inlier = ray_angles(fc, q) <= INLIER_THRESHOLD
+    # (B, 3, k), a row per coordinate: contiguous for the shift and angles
+    q = R_best[rows] @ np.ascontiguousarray(pc.T)
+    q += t_best[rows, :, None]
+    inlier = ray_angles(fc, np.swapaxes(q, -1, -2)) <= INLIER_THRESHOLD
     counts[rows] = np.count_nonzero(inlier, axis=1)
     # a row's own sum, not a matrix product: the same bits in any batch
     mass[rows] = np.where(inlier, w, 0.0).sum(axis=1)

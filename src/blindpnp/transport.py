@@ -52,6 +52,7 @@ _CG_MAX_ITERATIONS = 1000  # cap on conjugate-gradient steps in the backward
 _OMEGA_WINDOW = 10  # scaling iterations between estimates of omega
 _OMEGA_MAX = 1.95  # cap on the over-relaxation factor omega
 _EPILOGUE_BYTES = 1 << 20  # plan rows built, scaled and summed at a time
+_SUM_BYTES = 1 << 15  # alpha_i + beta_j built at a time in the backward
 
 
 @dataclass(frozen=True)
@@ -71,10 +72,10 @@ def _logsumexp_rows(A):
     return np.log(np.exp(A - hi).sum(axis=1)) + hi[:, 0]
 
 
-def _row_blocks(m, n):
-    """Slices of _EPILOGUE_BYTES of consecutive rows (at least one), or
-    none when the rows are empty."""
-    step = max(1, _EPILOGUE_BYTES // (8 * max(n, 1)))
+def _row_blocks(m, n, size=_EPILOGUE_BYTES):
+    """Slices of `size` bytes of consecutive rows (at least one), or none
+    when the rows are empty."""
+    step = max(1, size // (8 * max(n, 1)))
     return [slice(i, i + step) for i in range(0, m, step)] if n else []
 
 
@@ -327,7 +328,8 @@ def sinkhorn_vjp(M, plan: TransportPlan, mu: float, grad_P,
     beta = _schur_cg(P, r, P.sum(axis=0), gam - y, tol)
     alpha = (rho - P @ beta) / r
     out = np.empty((m, n)) if out is None else out
-    for rows in _row_blocks(m, n):  # P * (alpha + beta - G) / mu, in order
+    # P * (alpha + beta - G) / mu, in order, from one small temporary
+    for rows in _row_blocks(m, n, _SUM_BYTES):
         block = np.subtract(alpha[rows, None] + beta, G[rows], out=out[rows])
         block *= P[rows]
         block /= mu
@@ -359,8 +361,3 @@ def _schur_cg(P, r, c, b, tol):
         rz, rz_prev = res @ z, rz
         p = z + (rz / rz_prev) * p
     return x
-
-
-def transport_cost(M, P) -> float:
-    """Linear transport cost sum(M * P) of a plan."""
-    return float(np.sum(np.asarray(M) * np.asarray(P)))

@@ -30,16 +30,17 @@ the points with weight, the backward those that some listed pair
 refers to (every point for dense weights).
 
 The gradient, H and B are closed-form.  H takes one vectorized pass
-over the points (a few (n x 6) and (n x 9) matrix products); only the
-second derivatives of the 3x3 rotation come from a complex step (step
-1e-20, exact to machine precision), at a cost independent of n.  All
-three are checked against real central finite differences in the test
-suite, and H against the complex step of the whole gradient that it
-replaced.
+over the points (one (n x 6) matrix product and the 3 x 3 moments of
+the points), with the first and second derivatives of the rotation
+from the closed-form kernel `so3_exp_and_derivatives`, at a cost
+independent of n.  All three are checked against real central finite
+differences in the test suite, and H against the complex step of the
+whole gradient.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,8 @@ from .geometry import (Pose, _dot3, _pairs_array, canonicalize_angle_axis,
                        so3_exp_and_derivatives)
 from .transport import _row_blocks
 
-_CS_STEP = 1e-20  # complex-step size; no subtractive cancellation
 _EPS = np.finfo(np.float64).eps
+_EYE6 = np.eye(6)
 _MAX_CONDITION = 1e12  # pose Hessian condition number the backward accepts
 
 
@@ -165,43 +166,36 @@ def _collapse_weights(problem: PnPProblem):
     return w, s, (w > 0) | (np.abs(s).sum(axis=1) > 0)
 
 
-def _directions(points, x, used):
-    """dR/dr_k, unit directions u_j and norms |q_j| of q_j = R(r) p_j + t.
+def _value_and_gradient(w, s, points, x, used):
+    """Objective, 6-vector gradient and the terms `_hessian` takes at
+    pose x = (r, t): dR/dr_k, d2R/dr_k dr_l, unit directions u_j and
+    norms |q_j| of q_j = R(r) p_j + t, sigma_j = s_j . u_j, and G =
+    sum_j g_j p_j' over the q-gradients g_j.
 
     Raises if a `used` point lies at the camera center, where its
-    direction is undefined; every other point gets |q_j| = 1, so nothing
-    divides by zero.  Complex-safe: norms avoid abs(), the comparison
-    uses real parts.
+    direction is undefined; any other point there gets |q_j| = 1.
+    Points without weight (w_j = 0, s_j = 0) add nothing.  Complex-safe:
+    norms avoid abs(), the comparison uses real parts.
     """
-    R, dR = so3_exp_and_derivatives(x[:3])
+    R, dR, d2R = so3_exp_and_derivatives(x[:3], second=True)
     q = points @ R.T + x[3:]
     nq = np.sqrt(_dot3(q, q))
-    center = used & (np.real(nq) <= 1e-12)
-    if np.any(center):
-        raise NumericalError(
-            f"transformed point {int(np.flatnonzero(center)[0])} lies at the "
-            "camera center; the weighted alignment objective is singular there")
-    nq = np.where(used, nq, 1.0)
-    return dR, q / nq[:, None], nq
-
-
-def _value_and_gradient(w, s, points, x, active):
-    """Objective, 6-vector gradient and `_directions` at pose x = (r, t).
-
-    `active` marks points with any weight; only those contribute (and
-    only those are checked against the camera center).  The directions
-    are returned for `_hessian` at the same pose.  Complex-safe.
-    """
-    directions = dR, u, nq = _directions(points, x, active)
+    center = np.real(nq) <= 1e-12
+    if center.any():
+        if np.any(center & used):
+            raise NumericalError(
+                f"transformed point {int(np.flatnonzero(center & used)[0])} "
+                "lies at the camera center; the weighted alignment objective "
+                "is singular there")
+        nq = np.where(center, 1.0, nq)
+    u = q / nq[:, None]
     su = _dot3(s, u)
-    value = np.sum(w[active]) - np.sum(su[active])
-    # d(value)/dq_j = -(s_j - (s_j . u_j) u_j) / ||q_j||
-    gq = -(s - su[:, None] * u) / nq[:, None]
-    gq = np.where(active[:, None], gq, 0.0)
-    grad_t = gq.sum(axis=0)
+    # g_j = d(value)/dq_j = -(s_j - (s_j . u_j) u_j) / ||q_j||
+    gq = (su[:, None] * u - s) / nq[:, None]
+    G = gq.T @ points
     # dq_j/dr_k = dR[k] @ p_j
-    grad_r = np.einsum("kab,ab->k", dR, gq.T @ points)
-    return value, np.concatenate([grad_r, grad_t]), directions
+    grad = np.concatenate([dR.reshape(3, 9) @ G.ravel(), np.ones(len(gq)) @ gq])
+    return w.sum() - su.sum(), grad, (dR, d2R, u, nq, su, G)
 
 
 def pnp_objective(problem: PnPProblem, pose: Pose):
@@ -219,6 +213,11 @@ def pnp_objective(problem: PnPProblem, pose: Pose):
 def _check_finite(H, g) -> None:
     if not (np.isfinite(H).all() and np.isfinite(g).all()):
         raise NumericalError("pose Hessian or gradient is not finite")
+
+
+def _norm(v) -> float:
+    """np.linalg.norm of a real vector, bit for bit, without its overhead."""
+    return math.sqrt(v @ v)
 
 
 def _positive_definite_solve(A, b):
@@ -240,18 +239,19 @@ def _damped_step(w, s, points, active, x, value, g, H, noise):
     would not fail on it, and no lam would give a descending step.
     """
     _check_finite(H, g)
+    gnorm, rounding = _norm(g), _EPS * max(_norm(x), 1.0)
     lam = 0.0
     while True:
         try:
-            d = _positive_definite_solve(H + lam * np.eye(6), g)
-            if np.linalg.norm(d) <= _EPS * max(np.linalg.norm(x), 1.0):
+            d = _positive_definite_solve(H + lam * _EYE6 if lam else H, g)
+            if _norm(d) <= rounding:
                 return None
             value_new, g_new, directions = _value_and_gradient(
                 w, s, points, x - d, active)
         except (np.linalg.LinAlgError, NumericalError):
             pass
         else:
-            if value_new < value or (np.linalg.norm(g_new) < np.linalg.norm(g)
+            if value_new < value or (_norm(g_new) < gnorm
                                      and value_new <= value + noise):
                 return x - d, value_new, g_new, directions
         lam = max(10.0 * lam, 1e-3 * np.max(np.abs(np.diag(H))),
@@ -287,7 +287,7 @@ def pnp_solve(problem: PnPProblem,
     noise = 64 * _EPS * np.sum(w[active])
     value, g, directions = _value_and_gradient(w, s, points, x, active)
     iterations = 0
-    while np.linalg.norm(g) > tolerance and iterations < config.max_iterations:
+    while _norm(g) > tolerance and iterations < config.max_iterations:
         H = _hessian(s, points, x, directions)
         step = _damped_step(w, s, points, active, x, value, g, H, noise)
         if step is None:
@@ -295,7 +295,7 @@ def pnp_solve(problem: PnPProblem,
         x, value, g, directions = step
         iterations += 1
 
-    if np.linalg.norm(g) <= tolerance:
+    if _norm(g) <= tolerance:
         H = _hessian(s, points, x, directions)
         _check_finite(H, g)
         for _ in range(config.max_iterations - iterations):
@@ -305,7 +305,7 @@ def pnp_solve(problem: PnPProblem,
                                                           active)
             except (np.linalg.LinAlgError, NumericalError):
                 break
-            if not np.linalg.norm(g_new) < np.linalg.norm(g):  # NaN too
+            if not _norm(g_new) < _norm(g):  # NaN too
                 break
             x, value, g = x_new, value_new, g_new
 
@@ -313,7 +313,7 @@ def pnp_solve(problem: PnPProblem,
     if not np.array_equal(r, x[:3]):  # wrapped: re-evaluate at the new x
         x = np.concatenate([r, x[3:]])
         value, g, _ = _value_and_gradient(w, s, points, x, active)
-    gnorm = float(np.linalg.norm(g))
+    gnorm = _norm(g)
     return PnPSolution(pose=Pose.from_vector(x), objective_value=float(value),
                        converged=gnorm <= tolerance,
                        gradient_norm=gnorm, iterations=iterations)
@@ -322,8 +322,7 @@ def pnp_solve(problem: PnPProblem,
 def _hessian(s, points, x, directions) -> np.ndarray:
     """6x6 pose Hessian in closed form, in one pass over the points.
 
-    `directions` are `_directions` at x, as `_value_and_gradient` there
-    returns them.
+    `directions` are the terms that `_value_and_gradient` returns at x.
 
     With q_j = R p_j + t, u_j = q_j / |q_j|, sigma_j = s_j . u_j and
     J_j = dq_j/dx = [dR[k] p_j | I], the q-Hessian of -s_j . u_j is
@@ -332,36 +331,27 @@ def _hessian(s, points, x, directions) -> np.ndarray:
 
     and H = sum_j J_j' H_q,j J_j + <d2R[k, l], G>, where G = sum_j g_j p_j'
     contracts the q-gradients g_j with the points.  The rows S_j = s_j' J_j
-    and U_j = u_j' J_j turn every sum over j into an (n x 6) or (n x 9)
-    matrix product.  d2R[k, l] = d(dR[k])/dr_l is a complex step of
-    `so3_exp_and_derivatives` in each rotation direction.
+    and U_j = u_j' J_j turn the first two terms into one (n x 6) matrix
+    product; U_j's rotation part is t' dR[k] p_j / |q_j|, as R' dR[k] is
+    skew.  sum_j sigma_j J_j' J_j / |q_j|^2 takes the 3 x 3 moments of
+    the points.  d2R is the closed form of `so3_exp_and_derivatives`.
     """
-    dR, u, nq = directions
+    dR, d2R, u, nq, sigma, G = directions
+    dR9 = dR.reshape(3, 9)
     # inactive points have s_j = 0, so every term below vanishes for them
-    sigma = _dot3(s, u)
     c = 1.0 / nq**2
     d = sigma * c
-    D = points @ dR.reshape(9, 3).T       # D[j, 3k + a] = (dR[k] p_j)_a
-    D3 = D.reshape(-1, 3, 3)
-    S = np.hstack([np.einsum("jka,ja->jk", D3, s), s])
-    U = np.hstack([np.einsum("jka,ja->jk", D3, u), u])
-    H = (c[:, None] * S).T @ U
+    D = (points @ dR.reshape(9, 3).T).reshape(-1, 3, 3)  # D[j, k] = dR[k] p_j
+    S = np.concatenate([np.einsum("jka,ja->jk", D, s), s], 1)
+    U = np.concatenate([points @ (x[3:] @ dR).T / nq[:, None], u], 1)
+    H = (c[:, None] * S - (1.5 * d)[:, None] * U).T @ U
     H += H.T
-    H -= 3.0 * ((d[:, None] * U).T @ U)
-    # sum_j sigma_j J_j' J_j / |q_j|^2
-    H[:3, :3] += np.trace(((d[:, None] * D).T @ D).reshape(3, 3, 3, 3),
-                          axis1=1, axis2=3)
-    cross = (d @ D).reshape(3, 3)
+    # sum_j sigma_j J_j' J_j / |q_j|^2, from the moments of d_j p_j
+    H[:3, :3] += (dR @ ((d[:, None] * points).T @ points)).reshape(3, 9) @ dR9.T
+    cross = dR @ (d @ points)
     H[:3, 3:] += cross
     H[3:, :3] += cross.T
     H[3:, 3:] += np.sum(d) * np.eye(3)
-    # rotation term, with the q-gradients of `_value_and_gradient`
-    G = ((sigma[:, None] * u - s) / nq[:, None]).T @ points
-    d2R = np.empty((3, 3, 3, 3))
-    for l in range(3):
-        rc = x[:3].astype(np.complex128)
-        rc[l] += 1j * _CS_STEP
-        d2R[:, l] = so3_exp_and_derivatives(rc)[1].imag / _CS_STEP
     H[:3, :3] += (d2R.reshape(9, 9) @ G.ravel()).reshape(3, 3)
     return 0.5 * (H + H.T)
 
@@ -377,13 +367,13 @@ def _linearize(problem: PnPProblem, solution: PnPSolution):
         raise ValidationError(
             "solution did not converge; the implicit gradient is undefined "
             f"(gradient norm {solution.gradient_norm:.3e})")
-    _, s, active = _collapse_weights(problem)
+    w, s, active = _collapse_weights(problem)
     weights, points = problem.weights, problem.points
     used = (np.bincount(weights.pairs[:, 1], minlength=len(points)) > 0
             if isinstance(weights, SparseWeights)
             else np.ones(len(points), dtype=bool))
     x = solution.pose.canonical().as_vector()
-    directions = _directions(points, x, used)
+    directions = _value_and_gradient(w, s, points, x, used)[2]
     H = _hessian(s, points, x, directions)
     cond = float(np.linalg.cond(H)) if np.count_nonzero(active) >= 3 else np.inf
     return directions, H, cond, not cond <= _MAX_CONDITION
@@ -398,7 +388,7 @@ def _pair_products(problem: PnPProblem, directions, z):
     the (m, n) product F C' for dense weights, or a (k,) array aligned
     with the sparse pair list.
     """
-    dR, u, nq = directions
+    dR, _, u, nq, _, _ = directions
     a = problem.points @ np.tensordot(z[:3], dR, axes=1).T + z[3:]
     C = (a - np.sum(u * a, axis=1)[:, None] * u) / nq[:, None]
     if isinstance(problem.weights, SparseWeights):

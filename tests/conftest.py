@@ -32,6 +32,11 @@ def rotation_series(r, terms=20):
     return out
 
 
+def transport_cost(M, P) -> float:
+    """Linear transport cost sum(M * P) of a plan."""
+    return float(np.sum(np.asarray(M) * np.asarray(P)))
+
+
 def tiny_angle(f, u):
     """Cross-product angle measure, exact near zero (unlike arccos)."""
     f = np.asarray(f, dtype=np.float64)

@@ -24,11 +24,11 @@ from blindpnp.losses import correspondence_loss, pose_loss
 from blindpnp.pipeline import PipelineConfig, solve
 from blindpnp.pose_solvers import CandidateSet, RansacConfig, ransac_p3p
 from blindpnp.synth import SynthConfig, generate_instance, oracle_cost
-from blindpnp.transport import sinkhorn_forward, sinkhorn_vjp, transport_cost
+from blindpnp.transport import sinkhorn_forward, sinkhorn_vjp
 from blindpnp.weighted_pnp import (PnPProblem, PnPSolverConfig, SparseWeights,
                                    pnp_solve, pnp_vjp)
 
-from conftest import exact_bearings, random_pose
+from conftest import exact_bearings, random_pose, transport_cost
 
 try:
     from threadpoolctl import threadpool_limits

@@ -13,7 +13,8 @@ from hypothesis.extra.numpy import arrays
 
 from blindpnp.assignment import correspondences_from_pose, one_to_one
 from blindpnp.errors import ValidationError
-from blindpnp.geometry import (Pose, angular_reprojection_error,
+from blindpnp.geometry import (_SMALL_ANGLE_SQ, Pose,
+                               angular_reprojection_error,
                                canonicalize_angle_axis, exp_so3,
                                geodesic_rotation_angle, log_so3,
                                make_intrinsics, pixels_to_bearings, ray_angles,
@@ -79,6 +80,41 @@ class TestSo3Derivatives:
             rc[k] += 1e-20j
             Rc, _ = so3_exp_and_derivatives(rc)
             np.testing.assert_allclose(np.imag(Rc) / 1e-20, dR[k], atol=1e-12)
+
+
+def complex_step(f, r, step=1e-20):
+    """Stack over k of the complex-step derivative of f at r along e_k."""
+    return np.stack([f(r + 1j * step * e).imag / step for e in np.eye(3)])
+
+
+def max_relative_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestRotationKernelProperties:
+    @settings(deadline=None, derandomize=True, database=None,
+              max_examples=200)
+    @given(angle=st.one_of(
+               st.floats(0.0, np.pi),
+               # both sides of the Taylor switch, and at it
+               st.floats(-1e-6, 1e-6).map(
+                   lambda d: np.sqrt(_SMALL_ANGLE_SQ) * (1.0 + d))),
+           axis=arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)))
+    def test_closed_forms_match_series_and_complex_steps(self, angle, axis):
+        assume(np.linalg.norm(axis) > 0.1)
+        r = angle * axis / np.linalg.norm(axis)
+        R, dR, d2R = so3_exp_and_derivatives(r, second=True)
+        assert max_relative_error(R, rotation_series(r, terms=40)) <= 1e-13
+        # dR[k] = dR/dr_k from R; d2R[k, l] = d(dR[k])/dr_l from dR
+        assert max_relative_error(
+            dR, complex_step(lambda x: so3_exp_and_derivatives(x)[0], r)) <= 1e-13
+        d2R_cs = complex_step(lambda x: so3_exp_and_derivatives(x)[1], r)
+        assert max_relative_error(d2R, d2R_cs.transpose(1, 0, 2, 3)) <= 1e-13
+        # complex input: the same values, to rounding, and no imaginary part
+        Rc, dRc, d2Rc = so3_exp_and_derivatives(r.astype(complex), second=True)
+        for got, want in ((Rc, R), (dRc, dR), (d2Rc, d2R)):
+            assert got.dtype == np.complex128 and not got.imag.any()
+            assert max_relative_error(got.real, want) <= 1e-15
 
 
 class TestLogSo3:

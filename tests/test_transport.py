@@ -23,8 +23,9 @@ from blindpnp.pipeline import PipelineConfig, backward, solve
 from blindpnp.synth import SynthConfig, generate_instance, oracle_cost
 from blindpnp.transport import (_ABSORB_MAX, _EPILOGUE_BYTES, _OMEGA_WINDOW,
                                 TransportPlan, _kernel, _logsumexp_rows,
-                                _plan_and_sums, sinkhorn_forward, sinkhorn_vjp,
-                                transport_cost)
+                                _plan_and_sums, sinkhorn_forward, sinkhorn_vjp)
+
+from conftest import transport_cost
 
 TINY = np.finfo(np.float64).tiny
 
@@ -684,6 +685,23 @@ class TestBackward:
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak <= 28 * m * n
+
+    @pytest.mark.parametrize("aliased", [False, True])
+    def test_small_plan_needs_no_plan_sized_temporary(self, aliased):
+        # below one row block the sum alpha_i + beta_j once took a whole
+        # plan: 1.44 plans above the plan, dL/dP and dL/dM at n = 200;
+        # with dL/dM written over dL/dP, as `pipeline.backward` does, too
+        inst = generate_instance(SynthConfig(n_points=200, seed=0))
+        plan = sinkhorn_forward(oracle_cost(inst, 5.0), mu=0.1)
+        G = np.random.default_rng(0).standard_normal(plan.P.shape)
+        out = G if aliased else np.empty_like(G)
+        sinkhorn_vjp(None, plan, 0.1, G.copy())  # warm up BLAS buffers
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        sinkhorn_vjp(None, plan, 0.1, G, out=out)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= (1.44 - 0.8) * plan.P.nbytes
 
     @pytest.mark.parametrize("shape, sharp", [
         ((4, 5), False), ((5, 4), False), ((1, 4), False), ((4, 1), False),

@@ -22,13 +22,14 @@ from blindpnp.errors import (NumericalError, SingularHessianError,
 from blindpnp.geometry import (_SMALL_ANGLE_SQ, Pose, exp_so3,
                                geodesic_rotation_angle, log_so3,
                                so3_exp_and_derivatives, translation_error)
-from blindpnp.weighted_pnp import (_CS_STEP, PnPProblem, PnPSolverConfig,
-                                   PnPSolution, SparseWeights,
-                                   _collapse_weights, _directions, _hessian,
+from blindpnp.weighted_pnp import (PnPProblem, PnPSolverConfig, PnPSolution,
+                                   SparseWeights, _collapse_weights, _hessian,
                                    _value_and_gradient, pnp_objective,
                                    pnp_second_order, pnp_solve, pnp_vjp)
 
 from conftest import exact_bearings, random_pose
+
+_CS_STEP = 1e-20  # complex-step size; no subtractive cancellation
 
 
 def reference_hessian(w, s, points, x, active):
@@ -44,8 +45,9 @@ def reference_hessian(w, s, points, x, active):
 
 
 def closed_form_hessian(w, s, points, x, active):
-    """`_hessian` at x, on the directions that it takes computed there."""
-    return _hessian(s, points, x, _directions(points, x, active))
+    """`_hessian` at x, on the terms that it takes computed there."""
+    return _hessian(s, points, x, _value_and_gradient(w, s, points, x,
+                                                      active)[2])
 
 
 def reference_vjp(problem, solution, grad_pose, hessian=reference_hessian):
